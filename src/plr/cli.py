@@ -8,7 +8,8 @@ Usage::
 
 Configs are flat ``key = value`` text files (``#`` starts a comment), one
 experiment per file.  Every command is reproducible byte-for-byte from its
-config and seeds, except the wall-time line of the metrics file.
+config and seeds, except the wall-time line of the metrics file.  Exit
+status: 0 on success, 2 on a config or input error, 3 on a solver abort.
 """
 
 from __future__ import annotations
@@ -202,6 +203,12 @@ class ExperimentConfig:
     def validate(self, need_sweep=False):
         if self.solver not in _SOLVERS:
             raise ConfigError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
+        if self.mode == "recovery" and self.solver != "pmlsvt":
+            # their fixed step 1/L uses the completion constant alpha/beta**2,
+            # which with recovery's box leaves the iterate where it started
+            raise ConfigError(
+                f"solver = {self.solver} supports completion only; "
+                "use solver = pmlsvt for recovery")
         if need_sweep:
             if self.sweep_axis is None:
                 raise ConfigError("sweep command requires sweep_axis")
@@ -258,7 +265,10 @@ def build_ground_truth(ec, rho=None):
         fset = FeasibleSet(alpha=ec.alpha, beta=ec.beta,
                            rank_budget=ec.rank_budget or ec.rank,
                            entry_floor=ec.entry_floor)
-        M = gen_exact_low_rank(ec.d1, ec.d2, ec.rank, fset, ec.seed)
+        try:
+            M = gen_exact_low_rank(ec.d1, ec.d2, ec.rank, fset, ec.seed)
+        except RuntimeError as exc:
+            raise ConfigError(f"synthetic ground truth: {exc}") from None
     elif ec.source == "matrix":
         M = load_dense_csv(ec.matrix_file)
     elif ec.source == "image":
@@ -486,8 +496,12 @@ def _sweep_point(ec, value, trial):
     M, mask = build_ground_truth(ec, rho=rho)
     if ec.sweep_axis == "m" and ec.mode == "completion":
         m_value, p_obs = None, value / (M.shape[0] * M.shape[1])
-    Mhat, _, fset, _ = run_single_solve(ec, M, mask, seed, rho=rho, m_value=m_value,
-                                        p_obs=p_obs, penalty=penalty)
+    try:
+        Mhat, _, fset, _ = run_single_solve(ec, M, mask, seed, rho=rho, m_value=m_value,
+                                            p_obs=p_obs, penalty=penalty)
+    except SolverAbort as exc:
+        raise SolverAbort(f"at value={value!r}, trial={trial}: {exc}",
+                          exc.matrix, exc.trace) from exc
     return normalized_error(ec, M, Mhat, fset)
 
 
@@ -505,7 +519,7 @@ def cmd_sweep(ec, out_dir, threads=1):
     lines = ["value,mean,std"]
     for i, value in enumerate(sorted(ec.sweep_values)):
         chunk = np.array(errs[i * ec.trials:(i + 1) * ec.trials])
-        lines.append(f"{value!r},{chunk.mean()!r},{chunk.std(ddof=0)!r}")
+        lines.append(f"{value!r},{float(chunk.mean())!r},{float(chunk.std(ddof=0))!r}")
     _atomic_write_text(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
     return 0
 
@@ -542,6 +556,9 @@ def main(argv=None):
     except (ConfigError, ValueError, OSError) as exc:
         print(f"plr {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except SolverAbort as exc:
+        print(f"plr {args.command}: aborted {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -61,9 +61,8 @@ def grad_nll_completion(obs, X, rate_floor=MIN_RATE_FLOOR):
     return G
 
 
-def _recovery_rates(ensemble, y, X, rate_floor):
-    y = np.asarray(y, dtype=np.float64)
-    rates = apply_forward(ensemble, X)
+def _check_recovery_rates(y, rates, rate_floor):
+    """Validate the rates of a point against the counts; returns the mask y > 0."""
     if y.shape != rates.shape:
         raise ShapeMismatchError(f"count vector length {y.shape} != m={rates.shape}")
     pos = y > 0
@@ -72,7 +71,19 @@ def _recovery_rates(ensemble, y, X, rate_floor):
         raise RateFloorError(
             f"measurement {k} has count {y[k]} but rate {rates[k]!r} below the "
             f"floor {rate_floor!r}", index=k)
-    return y, rates, pos
+    return pos
+
+
+def _nll_from_rates(y, rates, rate_floor):
+    pos = _check_recovery_rates(y, rates, rate_floor)
+    return float(rates.sum() - (y[pos] * np.log(rates[pos])).sum())
+
+
+def _grad_from_rates(ensemble, y, rates, rate_floor):
+    pos = _check_recovery_rates(y, rates, rate_floor)
+    coeff = np.ones_like(rates)
+    coeff[pos] = 1.0 - y[pos] / rates[pos]
+    return apply_adjoint(ensemble, coeff)
 
 
 def nll_recovery(ensemble, y, X, rate_floor=MIN_RATE_FLOOR):
@@ -81,16 +92,14 @@ def nll_recovery(ensemble, y, X, rate_floor=MIN_RATE_FLOOR):
     f(X) = sum_i [AX]_i - y_i * log [AX]_i, with zero-count terms
     contributing only their rate.
     """
-    y, rates, pos = _recovery_rates(ensemble, y, X, rate_floor)
-    return float(rates.sum() - (y[pos] * np.log(rates[pos])).sum())
+    return _nll_from_rates(np.asarray(y, dtype=np.float64),
+                           apply_forward(ensemble, X), rate_floor)
 
 
 def grad_nll_recovery(ensemble, y, X, rate_floor=MIN_RATE_FLOOR):
     """Gradient of :func:`nll_recovery` via the adjoint: sum_i (1 - y_i/[AX]_i) A_i."""
-    y, rates, pos = _recovery_rates(ensemble, y, X, rate_floor)
-    coeff = np.ones_like(rates)
-    coeff[pos] = 1.0 - y[pos] / rates[pos]
-    return apply_adjoint(ensemble, coeff)
+    return _grad_from_rates(ensemble, np.asarray(y, dtype=np.float64),
+                            apply_forward(ensemble, X), rate_floor)
 
 
 def lipschitz_completion(fset):
@@ -133,7 +142,14 @@ class CompletionObjective:
 
 
 class RecoveryObjective:
-    """Handle bundling an ensemble and its counts with the rate floor."""
+    """Handle bundling an ensemble and its counts with the rate floor.
+
+    ``value`` and ``gradient`` share the forward rates [AX]_i of the last
+    point either was called at, so a solver that evaluates both at one
+    iterate applies the sensing operator once.  The cache is keyed on a
+    private copy of the point's contents, not on its identity, so changing
+    an array in place between calls never reuses stale rates.
+    """
 
     kind = "recovery"
 
@@ -141,12 +157,21 @@ class RecoveryObjective:
         self.ensemble = ensemble
         self.y = np.asarray(y, dtype=np.float64)
         self.rate_floor = rate_floor
+        self._last = None  # (copy of X, apply_forward(ensemble, X))
+
+    def _rates(self, X):
+        last = self._last
+        if last is not None and np.array_equal(X, last[0]):
+            return last[1]
+        rates = apply_forward(self.ensemble, X)
+        self._last = (np.array(X, dtype=np.float64), rates)
+        return rates
 
     def value(self, X):
-        return nll_recovery(self.ensemble, self.y, X, self.rate_floor)
+        return _nll_from_rates(self.y, self._rates(X), self.rate_floor)
 
     def gradient(self, X):
-        return grad_nll_recovery(self.ensemble, self.y, X, self.rate_floor)
+        return _grad_from_rates(self.ensemble, self.y, self._rates(X), self.rate_floor)
 
     def with_rate_floor(self, rate_floor):
         return RecoveryObjective(self.ensemble, self.y, rate_floor)

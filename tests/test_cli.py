@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import plr
+import plr.cli
 from plr.cli import ConfigError, ExperimentConfig, main, parse_config
-from plr.core import load_dense_csv
+from plr.core import SolverTrace, load_dense_csv
+from plr.solvers import SolverAbort
 
 COMPLETION_CFG = """\
 # tiny synthetic completion experiment
@@ -214,7 +216,9 @@ class TestSweep:
                      "--threads", "2"]) == 0
         text = (tmp_path / "s1" / "sweep.csv").read_text().splitlines()
         assert text[0] == "value,mean,std"
-        values = [float(line.split(",")[0]) for line in text[1:]]
+        rows = [[float(field) for field in line.split(",")] for line in text[1:]]
+        assert all(len(row) == 3 for row in rows)
+        values = [row[0] for row in rows]
         assert values == sorted(values) and len(values) == 2
         assert (tmp_path / "s1" / "sweep.csv").read_bytes() == \
             (tmp_path / "s2" / "sweep.csv").read_bytes()
@@ -237,6 +241,36 @@ class TestErrorPaths:
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("solver", ["proximal", "accelerated"])
+    def test_recovery_rejects_fixed_step_solvers(self, tmp_path, capsys, solver):
+        cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("solver = pmlsvt", f"solver = {solver}"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "solver = pmlsvt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_solver_abort_exits_3(self, tmp_path, capsys, monkeypatch, threads):
+        def aborting_pmlsvt(obj, fset, X0=None, config=None):
+            raise SolverAbort("backtracking diverged", None, SolverTrace())
+
+        monkeypatch.setattr(plr.cli, "pmlsvt", aborting_pmlsvt)
+        cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("m = 40\n", "") + (
+            "sweep_axis = m\nsweep_values = 30,40\ntrials = 2\n"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--threads", threads]) == 3
+        err = capsys.readouterr().err
+        assert "plr sweep: aborted at value=30.0, trial=0: backtracking diverged" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_ground_truth_draw_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        def failing_draw(*args, **kwargs):
+            raise RuntimeError("could not draw a rank-2 matrix")
+
+        monkeypatch.setattr(plr.cli, "gen_exact_low_rank", failing_draw)
+        cfg = write_cfg(tmp_path, RECOVERY_CFG)
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "could not draw a rank-2 matrix" in capsys.readouterr().err
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLR_THREADS", "2")

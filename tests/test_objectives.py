@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import plr.objectives
+import plr.solvers
 from oracles import finite_difference_gradient
 from plr.core import CompletionObservations, FeasibleSet, RateFloorError, seeded_rng
-from plr.objectives import (completion_objective, grad_nll_completion,
+from plr.objectives import (RecoveryObjective, completion_objective, grad_nll_completion,
                             grad_nll_recovery, lipschitz_completion, nll_completion,
                             nll_recovery, quadratic_model, recovery_objective)
-from plr.sensing import SensingEnsemble, apply_forward, build_sensing_ensemble
+from plr.sensing import (SensingEnsemble, apply_forward, build_sensing_ensemble,
+                         sample_compressive_counts)
+from plr.solvers import SolverConfig, pmlsvt
 
 
 def single_obs(count, dims=(1, 1)):
@@ -214,3 +218,78 @@ class TestHandles:
         assert obj.value(X) == pytest.approx(nll_completion(single_obs(4, dims=(2, 2)), X))
         assert np.array_equal(obj.gradient(X),
                               grad_nll_completion(single_obs(4, dims=(2, 2)), X))
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that calls are counted; returns the counter list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestRecoveryRateCache:
+    @staticmethod
+    def problem():
+        rng = seeded_rng(40)
+        M = rng.uniform(1.0, 5.0, (5, 4))
+        total = M.sum()
+        fset = FeasibleSet(alpha=total, beta=1e-6, rank_budget=2,
+                           total_intensity=total, entry_floor=1e-6)
+        ens = build_sensing_ensemble(5, 4, 30, 0.5, seed=41)
+        y = sample_compressive_counts(ens, M, seed=42).counts
+        return ens, y.astype(float), fset, rng.uniform(1.0, 5.0, (5, 4))
+
+    def test_pmlsvt_applies_forward_once_per_trial(self, monkeypatch):
+        ens, y, fset, _ = self.problem()
+        obj = recovery_objective(ens, y, fset)
+        forward = count_calls(monkeypatch, plr.objectives, "apply_forward")
+        trials = count_calls(monkeypatch, plr.solvers, "svd_factors")
+        cfg = SolverConfig(max_iter=40, step_recip=1e-4, penalty=0.01, mode="recovery")
+        _, trace = pmlsvt(obj, fset, config=cfg)
+        assert len(trials) > trace.iterations_run  # some trials were rejected
+        assert len(forward) == len(trials) + 1
+
+    def test_gradient_after_value_is_bitwise_uncached(self):
+        ens, y, fset, X = self.problem()
+        obj = recovery_objective(ens, y, fset)
+        assert obj.value(X) == nll_recovery(ens, y, X, obj.rate_floor)
+        G = obj.gradient(X)
+        assert G.tobytes() == grad_nll_recovery(ens, y, X, obj.rate_floor).tobytes()
+
+    def test_in_place_change_is_not_served_stale_rates(self):
+        ens, y, fset, X = self.problem()
+        obj = recovery_objective(ens, y, fset)
+        G_old = obj.gradient(X.copy())
+        obj.value(X)
+        X[2, 1] += 0.5
+        G = obj.gradient(X)
+        assert G.tobytes() == grad_nll_recovery(ens, y, X, obj.rate_floor).tobytes()
+        assert not np.array_equal(G, G_old)
+
+    @pytest.mark.parametrize("first", ["value", "gradient"])
+    def test_rate_floor_raises_on_cached_and_uncached_path(self, monkeypatch, first):
+        packed = np.zeros((2, 1), dtype=np.uint8)
+        packed[0] = np.packbits(np.array([1, 1, 1, 1], dtype=np.uint8))[0]
+        ens = SensingEnsemble(d1=2, d2=2, m=2, p=0.5, seed=0, packed=packed)
+        obj = RecoveryObjective(ens, np.array([1.0, 2.0]), 1e-9)
+        forward = count_calls(monkeypatch, plr.objectives, "apply_forward")
+        X = np.ones((2, 2))
+        for method in (first, "value", "gradient"):
+            with pytest.raises(RateFloorError) as err:
+                getattr(obj, method)(X)
+            assert err.value.index == 1
+        assert len(forward) == 1  # the later calls reused the rates and re-checked them
+
+    def test_non_finite_point_still_rejected(self):
+        ens, y, fset, X = self.problem()
+        obj = recovery_objective(ens, y, fset)
+        obj.value(X)
+        X[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            obj.gradient(X)

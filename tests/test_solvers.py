@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from plr.core import CompletionObservations, FeasibleSet, seeded_rng
-from plr.objectives import completion_objective, recovery_objective
+from plr.objectives import (completion_objective, grad_nll_recovery, nll_recovery,
+                            recovery_objective)
 from plr.projections import positive_rescale
 from plr.sensing import apply_adjoint, build_sensing_ensemble, sample_compressive_counts
 from plr.solvers import (SolverAbort, SolverConfig, accelerated_proximal_gradient,
@@ -248,3 +249,36 @@ class TestPmlsvt:
         obj = completion_objective(obs, fset)
         X, _ = pmlsvt(obj, fset, config=SolverConfig(max_iter=5, step_recip=50.0))
         assert 1.0 <= X[0, 0] <= 10.0
+
+
+class UncachedRecovery:
+    """Recovery objective that applies the forward map on every call."""
+
+    kind = "recovery"
+
+    def __init__(self, obj):
+        self.ensemble, self.y, self.rate_floor = obj.ensemble, obj.y, obj.rate_floor
+
+    def value(self, X):
+        return nll_recovery(self.ensemble, self.y, X, self.rate_floor)
+
+    def gradient(self, X):
+        return grad_nll_recovery(self.ensemble, self.y, X, self.rate_floor)
+
+
+def test_recovery_rate_cache_leaves_pmlsvt_results_unchanged():
+    rng = seeded_rng(18)
+    M = rng.uniform(1.0, 5.0, (6, 5))
+    total = M.sum()
+    fset = FeasibleSet(alpha=total, beta=1e-6, rank_budget=2,
+                       total_intensity=total, entry_floor=1e-6)
+    ens = build_sensing_ensemble(6, 5, 40, 0.5, seed=19)
+    y = sample_compressive_counts(ens, M, seed=20)
+    obj = recovery_objective(ens, y.counts, fset)
+    cfg = SolverConfig(max_iter=80, step_recip=1e-4, penalty=0.01, mode="recovery")
+    X_cached, tr_cached = pmlsvt(obj, fset, config=cfg)
+    X_plain, tr_plain = pmlsvt(UncachedRecovery(obj), fset, config=cfg)
+    assert X_cached.tobytes() == X_plain.tobytes()
+    assert tr_cached.objective_values == tr_plain.objective_values
+    assert tr_cached.step_control == tr_plain.step_control
+    assert tr_cached.iterations_run == tr_plain.iterations_run
