@@ -15,18 +15,22 @@ status: 0 on success, 2 on a config or input error, 3 on a solver abort.
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (CompletionObservations, CompressiveObservations, FeasibleSet,
-                   _atomic_write_text, load_dense_csv, load_observations_csv,
-                   save_dense_csv, save_observations_csv, seeded_rng)
+                   load_dense_csv, load_observations_csv, save_dense_csv,
+                   save_observations_csv, seeded_rng)
+# the cmd_* functions write their text files through this module-level name
+from .core import _atomic_write as _atomic_write_text
 from .metrics import hellinger_matrix, kl_matrix, squared_error
 from .objectives import completion_objective, recovery_objective
 from .projections import positive_rescale
@@ -340,7 +344,13 @@ def make_completion_observations(ec, M, mask, seed, p_obs=None):
 
 def make_recovery_observations(ec, M, seed, m_value=None):
     """Build (or load) the sensing ensemble and its Poisson counts."""
-    d1, d2 = M.shape
+    ensemble = recovery_ensemble(ec, *M.shape, seed, m_value=m_value)
+    return ensemble, recovery_counts(ec, M, seed, ensemble)
+
+
+def recovery_ensemble(ec, d1, d2, seed, m_value=None):
+    """The sensing masks: read from ensemble_file/ensemble_meta, else drawn
+    with m = ``m_value`` (default: the config's m) from ``seed``."""
     if ec.ensemble_file is not None:
         ensemble = load_ensemble(ec.ensemble_file)
     elif ec.ensemble_meta is not None:
@@ -353,7 +363,12 @@ def make_recovery_observations(ec, M, seed, m_value=None):
         if m < 1:
             raise ConfigError("recovery requires m >= 1")
         ensemble = build_sensing_ensemble(d1, d2, m, ec.p, seed)
-    if (ensemble.d1, ensemble.d2) != (d1, d2):
+    return ensemble
+
+
+def recovery_counts(ec, M, seed, ensemble):
+    """Counts y of ``M`` through ``ensemble``: read from y_file, else drawn."""
+    if (ensemble.d1, ensemble.d2) != M.shape:
         raise ConfigError(f"ensemble shape {(ensemble.d1, ensemble.d2)} != matrix {M.shape}")
     if ec.y_file is not None:
         counts = np.loadtxt(ec.y_file, dtype=np.int64, ndmin=1)
@@ -362,22 +377,29 @@ def make_recovery_observations(ec, M, seed, m_value=None):
             raise ConfigError(f"y has {len(y)} counts but ensemble has m={ensemble.m}")
     else:
         y = sample_compressive_counts(ensemble, M, seed + COUNT_SEED_OFFSET)
-    return ensemble, y
+    return y
 
 
 # ---------------------------------------------------------------------------
 # Solving and metrics
 # ---------------------------------------------------------------------------
 
-def run_single_solve(ec, M, mask, seed, rho=None, m_value=None, p_obs=None, penalty=None):
-    """Observe + solve one instance; returns (Mhat, trace, fset, extras)."""
+def run_single_solve(ec, M, mask, seed, rho=None, m_value=None, p_obs=None, penalty=None,
+                     ensemble=None):
+    """Observe + solve one instance; returns (Mhat, trace, fset, extras).
+
+    A recovery solve draws its sensing masks unless ``ensemble`` is given.
+    """
     if ec.mode == "completion":
         obs = make_completion_observations(ec, M, mask, seed, p_obs=p_obs)
         fset = feasible_set_for(ec, M)
         obj = completion_objective(obs, fset)
         obs_extras = {"observed": len(obs)}
     else:
-        ensemble, y = make_recovery_observations(ec, M, seed, m_value=m_value)
+        if ensemble is None:
+            ensemble, y = make_recovery_observations(ec, M, seed, m_value=m_value)
+        else:
+            y = recovery_counts(ec, M, seed, ensemble)
         fset = feasible_set_for(ec, M, m_value=ensemble.m)
         obj = recovery_objective(ensemble, y.counts, fset)
         obs_extras = {"m": ensemble.m}
@@ -407,15 +429,10 @@ def normalized_error(ec, M, Mhat, fset):
 
 
 def metrics_lines(ec, M, mask, Mhat, fset, trace, wall_time):
-    R = squared_error(M, Mhat)
     lines = [f"mode={ec.mode}", f"d1={M.shape[0]}", f"d2={M.shape[1]}",
-             f"R={R!r}"]
-    if ec.mode == "recovery":
-        lines.append(f"normalized_error={R / fset.total_intensity**2!r}")
-        lines.append("normalization=I^2")
-    else:
-        lines.append(f"normalized_error={R / (M.shape[0] * M.shape[1])!r}")
-        lines.append("normalization=d1*d2")
+             f"R={squared_error(M, Mhat)!r}",
+             f"normalized_error={normalized_error(ec, M, Mhat, fset)!r}",
+             "normalization=I^2" if ec.mode == "recovery" else "normalization=d1*d2"]
     if ec.source == "counts":
         # no intensity ground truth: report the data fit on observed cells
         resid = float(np.sum(((M - Mhat) * mask) ** 2))
@@ -481,10 +498,11 @@ def cmd_solve(ec, out_dir):
     return 0
 
 
-def _sweep_point(ec, value, trial):
-    """One (sweep value, trial) cell; returns the normalized error."""
+def _point_overrides(ec, value, trial):
+    """(seed, rho, m_value, p_obs, penalty) of one sweep point; None = config value."""
     seed = ec.obs_seed + trial
-    rho = m_value = p_obs = penalty = None
+    rho = ec.rho
+    m_value = p_obs = penalty = None
     if ec.sweep_axis == "rho":
         rho = value
     elif ec.sweep_axis == "m":
@@ -493,35 +511,115 @@ def _sweep_point(ec, value, trial):
         p_obs = value
     else:
         penalty = value
-    M, mask = build_ground_truth(ec, rho=rho)
+    return seed, rho, m_value, p_obs, penalty
+
+
+def _mask_key(ec, seed, m_value):
+    """The (m_value, seed) a recovery point's masks depend on; (None, None)
+    when they are read from ensemble_file or ensemble_meta."""
+    if ec.ensemble_file is not None or ec.ensemble_meta is not None:
+        return None, None
+    return m_value, seed
+
+
+def _sweep_point(ec, value, trial, truths=None, masks=None):
+    """One (sweep value, trial) cell; returns the normalized error.
+
+    ``truths`` (by rho) and ``masks`` (by :func:`_mask_key`) hold inputs the
+    sweep built once for several points; the point builds any input it does
+    not find there.
+    """
+    seed, rho, m_value, p_obs, penalty = _point_overrides(ec, value, trial)
+    truth = (truths or {}).get(rho)
+    M, mask = truth if truth is not None else build_ground_truth(ec, rho=rho)
     if ec.sweep_axis == "m" and ec.mode == "completion":
         m_value, p_obs = None, value / (M.shape[0] * M.shape[1])
+    ensemble = (masks or {}).get(_mask_key(ec, seed, m_value))
+    if ensemble is not None:
+        # same packed bits; this point unpacks its own indicator and drops it
+        ensemble = dataclasses.replace(ensemble, _dense=None)
     try:
         Mhat, _, fset, _ = run_single_solve(ec, M, mask, seed, rho=rho, m_value=m_value,
-                                            p_obs=p_obs, penalty=penalty)
+                                            p_obs=p_obs, penalty=penalty, ensemble=ensemble)
     except SolverAbort as exc:
         raise SolverAbort(f"at value={value!r}, trial={trial}: {exc}",
                           exc.matrix, exc.trace) from exc
     return normalized_error(ec, M, Mhat, fset)
 
 
+def _read_only(*arrays):
+    """Mark the given arrays (None skipped) read-only; returns them."""
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+    return arrays
+
+
+def _shared_inputs(ec, points, run):
+    """Build once the inputs that several sweep points use: (truths, masks).
+
+    ``truths`` holds one ground truth per distinct rho.  ``masks`` holds the
+    recovery sensing masks of every :func:`_mask_key` that two or more points
+    use; masks only one point uses (as in an m sweep) are left for that point
+    to draw, so the sweep does not hold them.  ``run`` maps a function over a
+    list, serially or on the sweep's thread pool.  Every shared array is
+    read-only, so an in-place write raises instead of reaching another point.
+    """
+    overrides = [_point_overrides(ec, value, trial) for value, trial in points]
+    rhos = list(dict.fromkeys(rho for _, rho, _, _, _ in overrides))
+    truths = dict(zip(rhos, run(lambda rho: _read_only(*build_ground_truth(ec, rho=rho)),
+                                rhos)))
+    if ec.mode != "recovery":
+        return truths, {}
+    uses = Counter(_mask_key(ec, seed, m_value) for seed, _, m_value, _, _ in overrides)
+    keys = [key for key, n in uses.items() if n > 1]
+    d1, d2 = truths[rhos[0]][0].shape
+
+    def build(key):
+        m_value, seed = key
+        ensemble = recovery_ensemble(ec, d1, d2, seed, m_value=m_value)
+        _read_only(ensemble.packed)
+        return ensemble
+
+    return truths, dict(zip(keys, run(build, keys)))
+
+
 def cmd_sweep(ec, out_dir, threads=1):
-    """Run trials at every sweep value; write value,mean,std rows sorted by value."""
+    """Run trials at every sweep value; write value,mean,std rows sorted by value.
+
+    Inputs several points share (see :func:`_shared_inputs`) are built once,
+    in a first pass, before the points run.
+    """
     ec.validate(need_sweep=True)
     os.makedirs(out_dir, exist_ok=True)
     points = [(value, trial) for value in sorted(ec.sweep_values)
               for trial in range(ec.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errs = list(pool.map(lambda vt: _sweep_point(ec, *vt), points))
-    else:
-        errs = [_sweep_point(ec, *vt) for vt in points]
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        truths, masks = _shared_inputs(ec, points, run)
+        errs = list(run(lambda vt: _sweep_point(ec, *vt, truths=truths, masks=masks),
+                        points))
     lines = ["value,mean,std"]
     for i, value in enumerate(sorted(ec.sweep_values)):
         chunk = np.array(errs[i * ec.trials:(i + 1) * ec.trials])
         lines.append(f"{value!r},{float(chunk.mean())!r},{float(chunk.std(ddof=0))!r}")
     _atomic_write_text(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
     return 0
+
+
+def _thread_count(flag):
+    """Sweep workers from --threads, else PLR_THREADS, else 1."""
+    if flag is not None:
+        name, raw = "--threads", flag
+    else:
+        name, raw = "PLR_THREADS", os.environ.get("PLR_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {raw!r}")
+    return threads
 
 
 def main(argv=None):
@@ -543,16 +641,13 @@ def main(argv=None):
                             help="record ensemble parameters instead of mask bits")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("PLR_THREADS", "1"))
     try:
         ec = ExperimentConfig.from_file(args.config, seed_override=args.seed)
         if args.command == "synth":
             return cmd_synth(ec, args.out, regen_from_seed=args.regen_from_seed)
         if args.command == "solve":
             return cmd_solve(ec, args.out)
-        return cmd_sweep(ec, args.out, threads=threads)
+        return cmd_sweep(ec, args.out, threads=_thread_count(args.threads))
     except (ConfigError, ValueError, OSError) as exc:
         print(f"plr {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -187,7 +187,7 @@ class SolverTrace:
         lines = ["iter,objective,t"]
         for k, (f, t) in enumerate(zip(self.objective_values, self.step_control), start=1):
             lines.append(f"{k},{f!r},{t!r}")
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        _atomic_write(path, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -281,18 +281,28 @@ def seeded_rng(seed):
 # Sparse observations: CSV triplets with header `row,col,count`, 1-based.
 # ---------------------------------------------------------------------------
 
-def _atomic_write_text(path, text):
+def _atomic_write(path, data):
+    """Write ``data`` (str or bytes) to ``path`` through ``path.tmp`` and a rename.
+
+    Readers see the old file or the whole new one, never a partial write; a
+    failed write removes its temporary file.
+    """
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_dense_csv(path, X):
     """Write a dense matrix as header-less CSV; floats round-trip exactly."""
     X = as_matrix(X)
     lines = [",".join(repr(float(v)) for v in row) for row in X]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_dense_csv(path):
@@ -324,7 +334,7 @@ def save_observations_csv(path, obs):
     lines = ["row,col,count"]
     for i, j, y in zip(obs.rows, obs.cols, obs.counts):
         lines.append(f"{i + 1},{j + 1},{y}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_observations_csv(path, dims, sample_prob=1.0):

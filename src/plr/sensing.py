@@ -8,13 +8,13 @@ scale 1/m, so forward and adjoint applications reduce to masked sums.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CompressiveObservations, ShapeMismatchError, as_matrix, seeded_rng
+from .core import (CompressiveObservations, ShapeMismatchError, _atomic_write, as_matrix,
+                   seeded_rng)
 
 _HEADER = struct.Struct("<QQQdQ")  # d1, d2, m, p, seed
 
@@ -151,12 +151,8 @@ def empirical_rip_range(ensemble, test_matrices):
 
 def save_ensemble(path, ensemble):
     """Persist as a little-endian header (d1,d2,m,p,seed) plus packed mask bits."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_HEADER.pack(ensemble.d1, ensemble.d2, ensemble.m,
-                              ensemble.p, ensemble.seed))
-        fh.write(np.ascontiguousarray(ensemble.packed).tobytes())
-    os.replace(tmp, path)
+    header = _HEADER.pack(ensemble.d1, ensemble.d2, ensemble.m, ensemble.p, ensemble.seed)
+    _atomic_write(path, header + np.ascontiguousarray(ensemble.packed).tobytes())
 
 
 def load_ensemble(path):

@@ -4,13 +4,12 @@ count-data ingestion."""
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompletionObservations, as_matrix, seeded_rng
+from .core import CompletionObservations, _atomic_write, as_matrix, seeded_rng
 from .projections import positive_rescale, svd_factors
 
 
@@ -265,7 +264,4 @@ def write_pgm(path, image, maxval=255):
     height, width = vals.shape
     lines = ["P2", f"{width} {height}", str(maxval)]
     lines.extend(" ".join(str(v) for v in row) for row in vals)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    _atomic_write(path, "\n".join(lines) + "\n")

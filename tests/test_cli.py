@@ -233,6 +233,117 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "lam")]) == 0
 
 
+def counting(monkeypatch, name):
+    """Replace plr.cli.<name> by a wrapper that records one entry per call."""
+    calls = []
+    original = getattr(plr.cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(plr.cli, name, wrapper)
+    return calls
+
+
+def unshared_sweep_csv(cfg):
+    """sweep.csv text computed point by point, every input built per point."""
+    ec = ExperimentConfig.from_file(cfg)
+    ec.validate(need_sweep=True)
+    lines = ["value,mean,std"]
+    for value in sorted(ec.sweep_values):
+        axis = {"rho": "rho", "m": "m_value", "lambda": "penalty"}[ec.sweep_axis]
+        rho = value if axis == "rho" else None
+        errs = []
+        for trial in range(ec.trials):
+            M, mask = plr.cli.build_ground_truth(ec, rho=rho)
+            Mhat, _, fset, _ = plr.cli.run_single_solve(
+                ec, M, mask, ec.obs_seed + trial, **{axis: value})
+            errs.append(plr.cli.normalized_error(ec, M, Mhat, fset))
+        errs = np.array(errs)
+        lines.append(f"{value!r},{float(errs.mean())!r},{float(errs.std(ddof=0))!r}")
+    return "\n".join(lines) + "\n"
+
+
+SHARING_CASES = {
+    # axis: (fixed key it replaces, sweep keys, ground-truth builds, ensemble builds)
+    "rho": ("", "sweep_axis = rho\nsweep_values = 2,1\ntrials = 2\n", 2, 2),
+    "lambda": ("lambda = 0.01\n", "sweep_axis = lambda\nsweep_values = 0.01,0.1\ntrials = 3\n",
+               1, 3),
+    "m": ("m = 40\n", "sweep_axis = m\nsweep_values = 30,40,50\ntrials = 2\n", 1, 6),
+}
+
+
+class TestSweepSharing:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("axis", sorted(SHARING_CASES))
+    def test_builds_each_shared_input_once(self, tmp_path, monkeypatch, axis, threads):
+        fixed, lines, truth_builds, ensemble_builds = SHARING_CASES[axis]
+        base = RECOVERY_CFG.replace("max_iter = 150", "max_iter = 30").replace(fixed, "")
+        cfg = write_cfg(tmp_path, base + lines)
+        want = unshared_sweep_csv(cfg)
+        truths = counting(monkeypatch, "build_ground_truth")
+        ensembles = counting(monkeypatch, "build_sensing_ensemble")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--threads", threads]) == 0
+        assert len(truths) == truth_builds
+        assert len(ensembles) == ensemble_builds
+        assert (tmp_path / "s" / "sweep.csv").read_text() == want
+
+    def test_many_workers_build_each_input_once(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("max_iter = 150", "max_iter = 10") +
+                        "sweep_axis = rho\nsweep_values = 1,2,3,4\ntrials = 3\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s1")]) == 0
+        truths = counting(monkeypatch, "build_ground_truth")
+        ensembles = counting(monkeypatch, "build_sensing_ensemble")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s8"),
+                         "--threads", "8"]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert (len(truths), len(ensembles)) == (4, 3)
+        assert (tmp_path / "s8" / "sweep.csv").read_bytes() == \
+            (tmp_path / "s1" / "sweep.csv").read_bytes()
+
+    def test_fixed_ensemble_file_is_read_once(self, tmp_path, monkeypatch):
+        main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
+              "--out", str(tmp_path / "full")])
+        cfg = write_cfg(tmp_path, (
+            "mode = recover\nsource = matrix\n"
+            f"matrix_file = {tmp_path / 'full' / 'M.csv'}\n"
+            f"ensemble_file = {tmp_path / 'full' / 'ensemble.bin'}\n"
+            "alpha = 30\nbeta = 1\nrank_budget = 2\nseed = 9\n"
+            "solver = pmlsvt\nmax_iter = 30\nstep_recip = 1e-4\n"
+            "sweep_axis = lambda\nsweep_values = 0.01,0.1\ntrials = 2\n"), name="file.cfg")
+        loads = counting(monkeypatch, "load_ensemble")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        assert len(loads) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_shared_inputs_are_read_only_and_unpacked_per_point(
+            self, tmp_path, monkeypatch, threads):
+        seen = []
+        original = plr.cli.run_single_solve
+
+        def checking_solve(ec, M, mask, seed, ensemble=None, **kwargs):
+            for array in (M, ensemble.packed):
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 0
+            assert ensemble._dense is None  # not unpacked by another point
+            seen.append(ensemble)
+            return original(ec, M, mask, seed, ensemble=ensemble, **kwargs)
+
+        monkeypatch.setattr(plr.cli, "run_single_solve", checking_solve)
+        cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("max_iter = 150", "max_iter = 10") +
+                        "sweep_axis = rho\nsweep_values = 1,2\ntrials = 1\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--threads", threads]) == 0
+        assert len(seen) == 2 and seen[0] is not seen[1]
+        assert seen[0].packed is seen[1].packed
+
+
 class TestErrorPaths:
     def test_bad_config_exits_nonzero(self, tmp_path):
         cfg = write_cfg(tmp_path, "mode = complete\n")
@@ -271,6 +382,23 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, RECOVERY_CFG)
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "could not draw a rank-2 matrix" in capsys.readouterr().err
+
+    def test_bad_env_threads_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PLR_THREADS", "abc")
+        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("m = 36\n", "") + (
+            "sweep_axis = p_obs\nsweep_values = 0.8\ntrials = 1\n"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "PLR_THREADS" in err and "'abc'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_exits_2(self, tmp_path, capsys, threads):
+        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("m = 36\n", "") + (
+            "sweep_axis = p_obs\nsweep_values = 0.8\ntrials = 1\n"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--threads", threads]) == 2
+        assert f"--threads must be a positive integer, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "sweep.csv").exists()
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLR_THREADS", "2")

@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from plr.core import (CompletionObservations, CompressiveObservations, FeasibleSet,
-                      ShapeMismatchError, SolverTrace, load_dense_csv,
+                      ShapeMismatchError, SolverTrace, _atomic_write, load_dense_csv,
                       load_observations_csv, save_dense_csv, save_observations_csv,
                       seeded_rng, validate_membership)
 
@@ -177,6 +179,24 @@ class TestFileFormats:
         path.write_text("1,2,4\n")
         with pytest.raises(ValueError, match="header"):
             load_observations_csv(path, (3, 2))
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("data", ["text\n", b"\x00\xffbytes"])
+    def test_writes_text_or_bytes(self, tmp_path, data):
+        path = tmp_path / "out"
+        _atomic_write(path, data)
+        raw = data.encode() if isinstance(data, str) else data
+        assert path.read_bytes() == raw
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out"
+        _atomic_write(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write(path, "\ud800")  # a lone surrogate cannot be encoded
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out"]
 
 
 def test_solver_trace_csv(tmp_path):

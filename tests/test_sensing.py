@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -148,6 +151,13 @@ class TestPersistence:
         back = load_ensemble(path)
         assert (back.d1, back.d2, back.m, back.p, back.seed) == (5, 6, 11, 0.35, 123)
         assert np.array_equal(back.packed, ens.packed)
+
+    def test_saved_bytes_and_no_temporary_file(self, tmp_path):
+        ens = build_sensing_ensemble(5, 6, 11, 0.35, seed=123)
+        save_ensemble(tmp_path / "ens.bin", ens)
+        header = struct.pack("<QQQdQ", 5, 6, 11, 0.35, 123)
+        assert (tmp_path / "ens.bin").read_bytes() == header + ens.packed.tobytes()
+        assert os.listdir(tmp_path) == ["ens.bin"]
 
     def test_regen_from_seed_matches_stored(self, tmp_path):
         ens = build_sensing_ensemble(5, 6, 11, 0.35, seed=123)

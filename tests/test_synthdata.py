@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,13 @@ class TestPgm:
         path = tmp_path / "img.pgm"
         write_pgm(path, img)
         assert np.array_equal(read_pgm(path), img)
+
+    @pytest.mark.parametrize("name", ["solar48.pgm", "phantom16.pgm"])
+    def test_rewrites_fixture_bytes_without_temporary_file(self, tmp_path, data_dir, name):
+        write_pgm(tmp_path / name, read_pgm(f"{data_dir}/{name}"))
+        with open(f"{data_dir}/{name}", "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read()
+        assert os.listdir(tmp_path) == [name]
 
     def test_fixtures_load(self, data_dir):
         solar = read_pgm(f"{data_dir}/solar48.pgm")
