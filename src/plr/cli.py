@@ -18,10 +18,11 @@ import argparse
 import dataclasses
 import os
 import sys
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -499,7 +500,12 @@ def cmd_solve(ec, out_dir):
 
 
 def _point_overrides(ec, value, trial):
-    """(seed, rho, m_value, p_obs, penalty) of one sweep point; None = config value."""
+    """(seed, rho, m_value, p_obs, penalty) of one sweep point.
+
+    ``rho`` is the point's value under a rho sweep and the config's ``rho``
+    otherwise; ``m_value``, ``p_obs`` and ``penalty`` are None where the
+    config value applies.
+    """
     seed = ec.obs_seed + trial
     rho = ec.rho
     m_value = p_obs = penalty = None
@@ -522,28 +528,62 @@ def _mask_key(ec, seed, m_value):
     return m_value, seed
 
 
-def _sweep_point(ec, value, trial, truths=None, masks=None):
+class _SharedMasks:
+    """Recovery sensing masks that several sweep points use, by :func:`_mask_key`.
+
+    The first point that needs a mask set builds it and the last point that
+    uses it drops it, so a sweep run trial by trial holds only the mask sets
+    of the trials in flight.  Keys that one point alone uses (every point of
+    an m sweep) are not held: that point draws its own masks.  Points share
+    the read-only packed bits only; each gets its own ensemble on them, so it
+    unpacks its own dense indicator and drops it when it ends.
+    """
+
+    def __init__(self, ec, shape, keys):
+        self._build = lambda key: recovery_ensemble(ec, *shape, key[1], m_value=key[0])
+        self._left = {key: n for key, n in Counter(keys).items() if n > 1}
+        self._locks = {key: threading.Lock() for key in self._left}
+        self._held = {}
+
+    @contextmanager
+    def use(self, key):
+        """This point's ensemble on the shared masks of ``key``; None if unshared."""
+        lock = self._locks.get(key)
+        if lock is None:
+            yield None
+            return
+        with lock:
+            if key not in self._held:
+                # packed bits are read-only as built or loaded
+                self._held[key] = self._build(key)
+            ensemble = dataclasses.replace(self._held[key], _dense=None)
+        try:
+            yield ensemble
+        finally:
+            with lock:
+                self._left[key] -= 1
+                if not self._left[key]:
+                    del self._held[key]
+
+
+def _sweep_point(ec, value, trial, truths, masks):
     """One (sweep value, trial) cell; returns the normalized error.
 
-    ``truths`` (by rho) and ``masks`` (by :func:`_mask_key`) hold inputs the
-    sweep built once for several points; the point builds any input it does
-    not find there.
+    ``truths`` holds the sweep's ground truth per rho, ``masks`` its
+    :class:`_SharedMasks`.
     """
     seed, rho, m_value, p_obs, penalty = _point_overrides(ec, value, trial)
-    truth = (truths or {}).get(rho)
-    M, mask = truth if truth is not None else build_ground_truth(ec, rho=rho)
+    M, mask = truths[rho]
     if ec.sweep_axis == "m" and ec.mode == "completion":
         m_value, p_obs = None, value / (M.shape[0] * M.shape[1])
-    ensemble = (masks or {}).get(_mask_key(ec, seed, m_value))
-    if ensemble is not None:
-        # same packed bits; this point unpacks its own indicator and drops it
-        ensemble = dataclasses.replace(ensemble, _dense=None)
-    try:
-        Mhat, _, fset, _ = run_single_solve(ec, M, mask, seed, rho=rho, m_value=m_value,
-                                            p_obs=p_obs, penalty=penalty, ensemble=ensemble)
-    except SolverAbort as exc:
-        raise SolverAbort(f"at value={value!r}, trial={trial}: {exc}",
-                          exc.matrix, exc.trace) from exc
+    with masks.use(_mask_key(ec, seed, m_value)) as ensemble:
+        try:
+            Mhat, _, fset, _ = run_single_solve(ec, M, mask, seed, rho=rho, m_value=m_value,
+                                                p_obs=p_obs, penalty=penalty,
+                                                ensemble=ensemble)
+        except SolverAbort as exc:
+            raise SolverAbort(f"at value={value!r}, trial={trial}: {exc}",
+                              exc.matrix, exc.trace) from exc
     return normalized_error(ec, M, Mhat, fset)
 
 
@@ -555,53 +595,30 @@ def _read_only(*arrays):
     return arrays
 
 
-def _shared_inputs(ec, points, run):
-    """Build once the inputs that several sweep points use: (truths, masks).
-
-    ``truths`` holds one ground truth per distinct rho.  ``masks`` holds the
-    recovery sensing masks of every :func:`_mask_key` that two or more points
-    use; masks only one point uses (as in an m sweep) are left for that point
-    to draw, so the sweep does not hold them.  ``run`` maps a function over a
-    list, serially or on the sweep's thread pool.  Every shared array is
-    read-only, so an in-place write raises instead of reaching another point.
-    """
-    overrides = [_point_overrides(ec, value, trial) for value, trial in points]
-    rhos = list(dict.fromkeys(rho for _, rho, _, _, _ in overrides))
-    truths = dict(zip(rhos, run(lambda rho: _read_only(*build_ground_truth(ec, rho=rho)),
-                                rhos)))
-    if ec.mode != "recovery":
-        return truths, {}
-    uses = Counter(_mask_key(ec, seed, m_value) for seed, _, m_value, _, _ in overrides)
-    keys = [key for key, n in uses.items() if n > 1]
-    d1, d2 = truths[rhos[0]][0].shape
-
-    def build(key):
-        m_value, seed = key
-        ensemble = recovery_ensemble(ec, d1, d2, seed, m_value=m_value)
-        _read_only(ensemble.packed)
-        return ensemble
-
-    return truths, dict(zip(keys, run(build, keys)))
-
-
 def cmd_sweep(ec, out_dir, threads=1):
     """Run trials at every sweep value; write value,mean,std rows sorted by value.
 
-    Inputs several points share (see :func:`_shared_inputs`) are built once,
-    in a first pass, before the points run.
+    The ground truth is built once per distinct rho, before the points run,
+    and is read-only; recovery masks several points use are built once (see
+    :class:`_SharedMasks`).  Points run trial by trial.
     """
     ec.validate(need_sweep=True)
     os.makedirs(out_dir, exist_ok=True)
-    points = [(value, trial) for value in sorted(ec.sweep_values)
-              for trial in range(ec.trials)]
+    values = sorted(ec.sweep_values)
+    points = [(value, trial) for trial in range(ec.trials) for value in values]
+    overrides = [_point_overrides(ec, value, trial) for value, trial in points]
+    rhos = list(dict.fromkeys(rho for _, rho, _, _, _ in overrides))
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        truths, masks = _shared_inputs(ec, points, run)
-        errs = list(run(lambda vt: _sweep_point(ec, *vt, truths=truths, masks=masks),
-                        points))
+        truths = dict(zip(rhos, run(lambda rho: _read_only(*build_ground_truth(ec, rho=rho)),
+                                    rhos)))
+        keys = [_mask_key(ec, seed, m_value) for seed, _, m_value, _, _ in overrides]
+        masks = _SharedMasks(ec, truths[rhos[0]][0].shape,
+                             keys if ec.mode == "recovery" else [])
+        errs = np.array(list(run(lambda vt: _sweep_point(ec, *vt, truths, masks), points)))
+    errs = errs.reshape(ec.trials, len(values))
     lines = ["value,mean,std"]
-    for i, value in enumerate(sorted(ec.sweep_values)):
-        chunk = np.array(errs[i * ec.trials:(i + 1) * ec.trials])
+    for value, chunk in zip(values, errs.T):
         lines.append(f"{value!r},{float(chunk.mean())!r},{float(chunk.std(ddof=0))!r}")
     _atomic_write_text(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
     return 0

@@ -281,16 +281,18 @@ def seeded_rng(seed):
 # Sparse observations: CSV triplets with header `row,col,count`, 1-based.
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path, data):
-    """Write ``data`` (str or bytes) to ``path`` through ``path.tmp`` and a rename.
+def _atomic_write(path, *chunks):
+    """Write ``chunks`` (all str, or all bytes-like) to ``path`` in order,
+    through ``path.tmp`` and a rename.
 
     Readers see the old file or the whole new one, never a partial write; a
     failed write removes its temporary file.
     """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
+        with open(tmp, "w" if isinstance(chunks[0], str) else "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -152,7 +152,7 @@ def empirical_rip_range(ensemble, test_matrices):
 def save_ensemble(path, ensemble):
     """Persist as a little-endian header (d1,d2,m,p,seed) plus packed mask bits."""
     header = _HEADER.pack(ensemble.d1, ensemble.d2, ensemble.m, ensemble.p, ensemble.seed)
-    _atomic_write(path, header + np.ascontiguousarray(ensemble.packed).tobytes())
+    _atomic_write(path, header, memoryview(np.ascontiguousarray(ensemble.packed)))
 
 
 def load_ensemble(path):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -320,6 +321,27 @@ class TestSweepSharing:
         loads = counting(monkeypatch, "load_ensemble")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
         assert len(loads) == 1
+
+    @pytest.mark.parametrize("threads,bound", [(1, 0), (2, 2)])
+    def test_holds_only_the_mask_sets_of_trials_in_flight(
+            self, tmp_path, monkeypatch, threads, bound):
+        refs, alive = [], []
+        original = plr.cli.build_sensing_ensemble
+
+        def tracking(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            ensemble = original(*args, **kwargs)
+            refs.append(weakref.ref(ensemble.packed))
+            return ensemble
+
+        monkeypatch.setattr(plr.cli, "build_sensing_ensemble", tracking)
+        cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("max_iter = 150", "max_iter = 10") +
+                        "sweep_axis = rho\nsweep_values = 1,2,3\ntrials = 5\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--threads", str(threads)]) == 0
+        assert len(refs) == 5
+        # mask sets alive when the next is built: those of trials still running
+        assert max(alive) <= bound
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_shared_inputs_are_read_only_and_unpacked_per_point(

@@ -190,6 +190,13 @@ class TestAtomicWrite:
         assert path.read_bytes() == raw
         assert os.listdir(tmp_path) == ["out"]
 
+    def test_writes_chunks_in_order(self, tmp_path):
+        path = tmp_path / "out"
+        _atomic_write(path, b"head", memoryview(np.arange(6, dtype=np.uint8).reshape(2, 3)))
+        assert path.read_bytes() == b"head" + bytes(range(6))
+        _atomic_write(path, "a,", "b\n")
+        assert path.read_text() == "a,b\n"
+
     def test_failed_write_keeps_old_file_and_leaves_no_temporary(self, tmp_path):
         path = tmp_path / "out"
         _atomic_write(path, "old\n")
