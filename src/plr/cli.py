@@ -51,7 +51,8 @@ _MODES = {"complete": "completion", "completion": "completion",
           "recover": "recovery", "recovery": "recovery"}
 _SOURCES = ("synthetic", "matrix", "image", "counts")
 _SOLVERS = ("pmlsvt", "proximal", "accelerated")
-_AXES = ("rho", "m", "lambda", "p_obs")
+# sweep_axis -> the ExperimentConfig field a sweep point replaces
+_AXIS_FIELDS = {"rho": "rho", "m": "m", "lambda": "penalty", "p_obs": "p_obs"}
 
 
 class ConfigError(ValueError):
@@ -82,20 +83,19 @@ def parse_config(path):
     return cfg
 
 
-def _get(cfg, key, cast, default=None, required=False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
-    try:
-        if cast is bool:
-            val = cfg[key].lower()
-            if val not in ("true", "false", "0", "1", "yes", "no"):
-                raise ValueError(f"not a boolean: {cfg[key]!r}")
-            return val in ("true", "1", "yes")
-        return cast(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from None
+def _parse_bool(raw):
+    val = raw.lower()
+    if val not in ("true", "false", "0", "1", "yes", "no"):
+        raise ValueError(f"not a boolean: {raw!r}")
+    return val in ("true", "1", "yes")
+
+
+# One parser per declared field type (annotations are strings here, see the
+# __future__ import); a list is comma-separated floats.
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "list": lambda raw: [float(v) for v in raw.split(",") if v.strip()]}
+# Config keys spelt differently from their ExperimentConfig field.
+_FIELD_KEYS = {"penalty": "lambda"}
 
 
 @dataclass
@@ -147,56 +147,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, seed_override=None):
+        """Parse a config file: one key per field (``lambda`` sets ``penalty``),
+        read with the parser of the field's declared type; unknown keys are
+        rejected and absent keys take the field's default."""
         cfg = parse_config(path)
-        mode_raw = _get(cfg, "mode", str, required=True).lower()
+        fields = {_FIELD_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+        for key in cfg:
+            if key not in fields:
+                raise ConfigError(f"unknown config key {key!r}")
+        values = {}
+        for key, f in fields.items():
+            if key in cfg:
+                try:
+                    values[f.name] = _PARSERS[f.type](cfg[key])
+                except ValueError as exc:
+                    raise ConfigError(f"config key {key!r}: {exc}") from None
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"missing required config key {key!r}")
+        ec = cls(**values)
+        mode_raw = ec.mode.lower()
         if mode_raw not in _MODES:
             raise ConfigError(f"mode must be one of {sorted(set(_MODES))}, got {mode_raw!r}")
-        source = _get(cfg, "source", str, required=True).lower()
-        if source not in _SOURCES:
-            raise ConfigError(f"source must be one of {_SOURCES}, got {source!r}")
-        ec = cls(
-            mode=_MODES[mode_raw],
-            source=source,
-            seed=_get(cfg, "seed", int, default=0),
-            d1=_get(cfg, "d1", int),
-            d2=_get(cfg, "d2", int),
-            rank=_get(cfg, "rank", int),
-            matrix_file=_get(cfg, "matrix_file", str),
-            image_file=_get(cfg, "image_file", str),
-            patch_h=_get(cfg, "patch_h", int),
-            patch_w=_get(cfg, "patch_w", int),
-            trunc_rank=_get(cfg, "trunc_rank", int),
-            counts_file=_get(cfg, "counts_file", str),
-            rho=_get(cfg, "rho", float, default=1.0),
-            alpha=_get(cfg, "alpha", float),
-            beta=_get(cfg, "beta", float),
-            rank_budget=_get(cfg, "rank_budget", int),
-            entry_floor=_get(cfg, "entry_floor", float, default=1e-6),
-            total_intensity=_get(cfg, "total_intensity", float),
-            m=_get(cfg, "m", float),
-            p_obs=_get(cfg, "p_obs", float),
-            p=_get(cfg, "p", float, default=0.5),
-            obs_seed=_get(cfg, "obs_seed", int),
-            poissonize=_get(cfg, "poissonize", bool),
-            obs_file=_get(cfg, "obs_file", str),
-            y_file=_get(cfg, "y_file", str),
-            ensemble_file=_get(cfg, "ensemble_file", str),
-            ensemble_meta=_get(cfg, "ensemble_meta", str),
-            solver=_get(cfg, "solver", str, default="pmlsvt").lower(),
-            max_iter=_get(cfg, "max_iter", int, default=1000),
-            step_recip=_get(cfg, "step_recip", float, default=1e-4),
-            step_scale=_get(cfg, "step_scale", float, default=1.1),
-            penalty=_get(cfg, "lambda", float),
-            tol=_get(cfg, "tol", float, default=0.0),
-            stop_on_objective_delta=_get(cfg, "stop_on_objective_delta", bool, default=False),
-            sweep_axis=_get(cfg, "sweep_axis", str),
-            trials=_get(cfg, "trials", int, default=5),
-        )
-        if "sweep_values" in cfg:
-            try:
-                ec.sweep_values = [float(v) for v in cfg["sweep_values"].split(",") if v.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"config key 'sweep_values': {exc}") from None
+        ec.mode = _MODES[mode_raw]
+        ec.source = ec.source.lower()
+        if ec.source not in _SOURCES:
+            raise ConfigError(f"source must be one of {_SOURCES}, got {ec.source!r}")
+        ec.solver = ec.solver.lower()
         if seed_override is not None:
             ec.seed = seed_override
         if ec.obs_seed is None:
@@ -220,8 +196,11 @@ class ExperimentConfig:
         elif self.sweep_axis is not None:
             raise ConfigError("sweep_axis set, but this command runs a single experiment")
         if self.sweep_axis is not None:
-            if self.sweep_axis not in _AXES:
-                raise ConfigError(f"sweep_axis must be one of {_AXES}")
+            if self.sweep_axis not in _AXIS_FIELDS:
+                raise ConfigError(f"sweep_axis must be one of {tuple(_AXIS_FIELDS)}")
+            if self.sweep_axis == "p_obs" and self.mode == "recovery":
+                raise ConfigError("sweeping p_obs applies to completion only; "
+                                  "recovery does not read p_obs")
             if not self.sweep_values:
                 raise ConfigError("sweep requires a non-empty sweep_values list")
             if self.trials < 1:
@@ -320,15 +299,12 @@ def _completion_m(ec, dims):
     raise ConfigError("completion requires m or p_obs")
 
 
-def make_completion_observations(ec, M, mask, seed, p_obs=None):
+def make_completion_observations(ec, M, mask, seed):
     """Sample (or subsample) the observed entries for a completion problem."""
     d1, d2 = M.shape
     if ec.obs_file is not None:
         return load_observations_csv(ec.obs_file, (d1, d2))
-    if p_obs is None:
-        m_expected = _completion_m(ec, (d1, d2))
-    else:
-        m_expected = p_obs * d1 * d2
+    m_expected = _completion_m(ec, (d1, d2))
     if ec.poissonize:
         return sample_completion_observations(M, m_expected, seed)
     # Counts are already a Poisson realization: Bernoulli-subsample the cells
@@ -343,24 +319,28 @@ def make_completion_observations(ec, M, mask, seed, p_obs=None):
                                   dims=(d1, d2), sample_prob=m_expected / (d1 * d2))
 
 
-def make_recovery_observations(ec, M, seed, m_value=None):
+def make_recovery_observations(ec, M, seed):
     """Build (or load) the sensing ensemble and its Poisson counts."""
-    ensemble = recovery_ensemble(ec, *M.shape, seed, m_value=m_value)
+    ensemble = recovery_ensemble(ec, *M.shape, seed)
     return ensemble, recovery_counts(ec, M, seed, ensemble)
 
 
-def recovery_ensemble(ec, d1, d2, seed, m_value=None):
+def recovery_ensemble(ec, d1, d2, seed):
     """The sensing masks: read from ensemble_file/ensemble_meta, else drawn
-    with m = ``m_value`` (default: the config's m) from ``seed``."""
+    with the config's m and p from ``seed``."""
     if ec.ensemble_file is not None:
         ensemble = load_ensemble(ec.ensemble_file)
     elif ec.ensemble_meta is not None:
         meta = parse_config(ec.ensemble_meta)
-        ensemble = build_sensing_ensemble(
-            int(meta["d1"]), int(meta["d2"]), int(meta["m"]),
-            float(meta["p"]), int(meta["seed"]))
+        try:
+            args = (int(meta["d1"]), int(meta["d2"]), int(meta["m"]),
+                    float(meta["p"]), int(meta["seed"]))
+        except KeyError as exc:
+            raise ConfigError(
+                f"ensemble_meta {ec.ensemble_meta!r} lacks key {exc.args[0]!r}") from None
+        ensemble = build_sensing_ensemble(*args)
     else:
-        m = int(m_value if m_value is not None else (ec.m or 0))
+        m = int(ec.m or 0)
         if m < 1:
             raise ConfigError("recovery requires m >= 1")
         ensemble = build_sensing_ensemble(d1, d2, m, ec.p, seed)
@@ -385,27 +365,24 @@ def recovery_counts(ec, M, seed, ensemble):
 # Solving and metrics
 # ---------------------------------------------------------------------------
 
-def run_single_solve(ec, M, mask, seed, rho=None, m_value=None, p_obs=None, penalty=None,
-                     ensemble=None):
-    """Observe + solve one instance; returns (Mhat, trace, fset, extras).
+def run_single_solve(ec, M, mask, seed, ensemble=None):
+    """Observe + solve one instance; returns (Mhat, trace, fset).
 
     A recovery solve draws its sensing masks unless ``ensemble`` is given.
     """
     if ec.mode == "completion":
-        obs = make_completion_observations(ec, M, mask, seed, p_obs=p_obs)
+        obs = make_completion_observations(ec, M, mask, seed)
         fset = feasible_set_for(ec, M)
         obj = completion_objective(obs, fset)
-        obs_extras = {"observed": len(obs)}
     else:
         if ensemble is None:
-            ensemble, y = make_recovery_observations(ec, M, seed, m_value=m_value)
+            ensemble, y = make_recovery_observations(ec, M, seed)
         else:
             y = recovery_counts(ec, M, seed, ensemble)
         fset = feasible_set_for(ec, M, m_value=ensemble.m)
         obj = recovery_objective(ensemble, y.counts, fset)
-        obs_extras = {"m": ensemble.m}
 
-    lam = penalty if penalty is not None else ec.penalty
+    lam = ec.penalty
     if lam is None:
         lam = select_lambda_default(fset, *M.shape)
     config = SolverConfig(max_iter=ec.max_iter, step_recip=ec.step_recip,
@@ -418,7 +395,7 @@ def run_single_solve(ec, M, mask, seed, rho=None, m_value=None, p_obs=None, pena
         Mhat, trace = proximal_gradient(obj, fset, default_init(obj, fset), config)
     else:
         Mhat, trace = accelerated_proximal_gradient(obj, fset, default_init(obj, fset), config)
-    return Mhat, trace, fset, obs_extras
+    return Mhat, trace, fset
 
 
 def normalized_error(ec, M, Mhat, fset):
@@ -486,7 +463,7 @@ def cmd_solve(ec, out_dir):
     M, mask = build_ground_truth(ec)
     start = time.perf_counter()
     try:
-        Mhat, trace, fset, _ = run_single_solve(ec, M, mask, ec.obs_seed)
+        Mhat, trace, fset = run_single_solve(ec, M, mask, ec.obs_seed)
     except SolverAbort as exc:
         exc.trace.to_csv(os.path.join(out_dir, "trace.csv"))
         print(f"plr solve: aborted: {exc}", file=sys.stderr)
@@ -499,33 +476,12 @@ def cmd_solve(ec, out_dir):
     return 0
 
 
-def _point_overrides(ec, value, trial):
-    """(seed, rho, m_value, p_obs, penalty) of one sweep point.
-
-    ``rho`` is the point's value under a rho sweep and the config's ``rho``
-    otherwise; ``m_value``, ``p_obs`` and ``penalty`` are None where the
-    config value applies.
-    """
-    seed = ec.obs_seed + trial
-    rho = ec.rho
-    m_value = p_obs = penalty = None
-    if ec.sweep_axis == "rho":
-        rho = value
-    elif ec.sweep_axis == "m":
-        m_value = value
-    elif ec.sweep_axis == "p_obs":
-        p_obs = value
-    else:
-        penalty = value
-    return seed, rho, m_value, p_obs, penalty
-
-
-def _mask_key(ec, seed, m_value):
-    """The (m_value, seed) a recovery point's masks depend on; (None, None)
-    when they are read from ensemble_file or ensemble_meta."""
+def _mask_key(ec, seed):
+    """The (m, seed) a recovery point's masks depend on; (None, None) when
+    they are read from ensemble_file or ensemble_meta."""
     if ec.ensemble_file is not None or ec.ensemble_meta is not None:
         return None, None
-    return m_value, seed
+    return ec.m, seed
 
 
 class _SharedMasks:
@@ -539,15 +495,16 @@ class _SharedMasks:
     unpacks its own dense indicator and drops it when it ends.
     """
 
-    def __init__(self, ec, shape, keys):
-        self._build = lambda key: recovery_ensemble(ec, *shape, key[1], m_value=key[0])
+    def __init__(self, shape, keys):
+        self._shape = shape
         self._left = {key: n for key, n in Counter(keys).items() if n > 1}
         self._locks = {key: threading.Lock() for key in self._left}
         self._held = {}
 
     @contextmanager
-    def use(self, key):
-        """This point's ensemble on the shared masks of ``key``; None if unshared."""
+    def use(self, ec, seed):
+        """This point's ensemble on the shared masks of its key; None if unshared."""
+        key = _mask_key(ec, seed)
         lock = self._locks.get(key)
         if lock is None:
             yield None
@@ -555,7 +512,7 @@ class _SharedMasks:
         with lock:
             if key not in self._held:
                 # packed bits are read-only as built or loaded
-                self._held[key] = self._build(key)
+                self._held[key] = recovery_ensemble(ec, *self._shape, seed)
             ensemble = dataclasses.replace(self._held[key], _dense=None)
         try:
             yield ensemble
@@ -569,18 +526,14 @@ class _SharedMasks:
 def _sweep_point(ec, value, trial, truths, masks):
     """One (sweep value, trial) cell; returns the normalized error.
 
-    ``truths`` holds the sweep's ground truth per rho, ``masks`` its
+    ``ec`` is the point's config, ``truths`` holds the sweep's ground truth per rho, ``masks`` its
     :class:`_SharedMasks`.
     """
-    seed, rho, m_value, p_obs, penalty = _point_overrides(ec, value, trial)
-    M, mask = truths[rho]
-    if ec.sweep_axis == "m" and ec.mode == "completion":
-        m_value, p_obs = None, value / (M.shape[0] * M.shape[1])
-    with masks.use(_mask_key(ec, seed, m_value)) as ensemble:
+    seed = ec.obs_seed + trial
+    M, mask = truths[ec.rho]
+    with masks.use(ec, seed) as ensemble:
         try:
-            Mhat, _, fset, _ = run_single_solve(ec, M, mask, seed, rho=rho, m_value=m_value,
-                                                p_obs=p_obs, penalty=penalty,
-                                                ensemble=ensemble)
+            Mhat, _, fset = run_single_solve(ec, M, mask, seed, ensemble=ensemble)
         except SolverAbort as exc:
             raise SolverAbort(f"at value={value!r}, trial={trial}: {exc}",
                               exc.matrix, exc.trace) from exc
@@ -605,17 +558,21 @@ def cmd_sweep(ec, out_dir, threads=1):
     ec.validate(need_sweep=True)
     os.makedirs(out_dir, exist_ok=True)
     values = sorted(ec.sweep_values)
+    # a point's config is ec with the swept field replaced; an m point also
+    # clears p_obs, which would otherwise win over m
+    cleared = {"p_obs": None} if ec.sweep_axis == "m" else {}
+    configs = {value: dataclasses.replace(ec, **{_AXIS_FIELDS[ec.sweep_axis]: value}, **cleared)
+               for value in values}
     points = [(value, trial) for trial in range(ec.trials) for value in values]
-    overrides = [_point_overrides(ec, value, trial) for value, trial in points]
-    rhos = list(dict.fromkeys(rho for _, rho, _, _, _ in overrides))
+    rhos = list(dict.fromkeys(pc.rho for pc in configs.values()))
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         truths = dict(zip(rhos, run(lambda rho: _read_only(*build_ground_truth(ec, rho=rho)),
                                     rhos)))
-        keys = [_mask_key(ec, seed, m_value) for seed, _, m_value, _, _ in overrides]
-        masks = _SharedMasks(ec, truths[rhos[0]][0].shape,
-                             keys if ec.mode == "recovery" else [])
-        errs = np.array(list(run(lambda vt: _sweep_point(ec, *vt, truths, masks), points)))
+        keys = [_mask_key(configs[value], ec.obs_seed + trial) for value, trial in points]
+        masks = _SharedMasks(truths[rhos[0]][0].shape, keys if ec.mode == "recovery" else [])
+        errs = np.array(list(run(
+            lambda vt: _sweep_point(configs[vt[0]], *vt, truths, masks), points)))
     errs = errs.reshape(ec.trials, len(values))
     lines = ["value,mean,std"]
     for value, chunk in zip(values, errs.T):

@@ -1,6 +1,9 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
+import typing
 import weakref
 
 import numpy as np
@@ -110,6 +113,25 @@ class TestExperimentConfig:
         cfg = write_cfg(tmp_path, COMPLETION_CFG)
         ec = ExperimentConfig.from_file(cfg, seed_override=77)
         assert ec.seed == 77 and ec.obs_seed == 77
+
+    def test_every_key_parses_to_its_declared_type(self, tmp_path):
+        samples = {int: "3", float: "0.5", str: "x", bool: "yes", list: "2, 1.5"}
+        types = typing.get_type_hints(ExperimentConfig)
+        keys = {name: "lambda" if name == "penalty" else name for name in types}
+        lines = {keys[name]: samples[t] for name, t in types.items()}
+        lines.update(mode="Complete", source="synthetic", solver="PMLSVT")
+        cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        ec = ExperimentConfig.from_file(cfg)
+        assert {name: type(getattr(ec, name)) for name in types} == types
+        assert (ec.mode, ec.solver, ec.penalty, ec.obs_seed) == ("completion", "pmlsvt", 0.5, 3)
+        assert ec.sweep_values == [2.0, 1.5] and ec.poissonize is True
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        cfg = write_cfg(tmp_path, "mode = recover\nsource = counts\n")
+        ec = ExperimentConfig.from_file(cfg)
+        # obs_seed and poissonize are derived from seed and source
+        assert ec == ExperimentConfig(mode="recovery", source="counts", obs_seed=0,
+                                      poissonize=False)
 
 
 class TestSynthSolvePipeline:
@@ -234,6 +256,32 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "lam")]) == 0
 
 
+COMPLETION_SWEEPS = {
+    # axis: (fixed key it replaces, extra fixed keys, sweep values)
+    "m": ("m", "p_obs = 0.9\n", "20,40"),  # an m sweep wins over a configured p_obs
+    "p_obs": ("m", "", "0.5,0.9"),
+    "lambda": ("lambda", "", "0.01,0.1"),
+    "rho": ("rho", "", "1,2"),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(COMPLETION_SWEEPS))
+def test_completion_sweep_matches_point_by_point(tmp_path, axis):
+    fixed, extra, values = COMPLETION_SWEEPS[axis]
+    base = COMPLETION_CFG.replace("max_iter = 200", "max_iter = 30")
+    base = re.sub(rf"^{fixed} = .*\n", "", base, flags=re.M)
+    sweep = f"sweep_axis = {axis}\nsweep_values = {values}\ntrials = 2\n"
+    cfg = write_cfg(tmp_path, base + extra + sweep)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                 "--threads", "2"]) == 0
+    got = (tmp_path / "s" / "sweep.csv").read_text()
+    assert got == unshared_sweep_csv(cfg)
+    if axis == "m":
+        plain = write_cfg(tmp_path, base + sweep, name="plain.cfg")
+        assert main(["sweep", "--config", plain, "--out", str(tmp_path / "p")]) == 0
+        assert got == (tmp_path / "p" / "sweep.csv").read_text()
+
+
 def counting(monkeypatch, name):
     """Replace plr.cli.<name> by a wrapper that records one entry per call."""
     calls = []
@@ -253,14 +301,15 @@ def unshared_sweep_csv(cfg):
     ec.validate(need_sweep=True)
     lines = ["value,mean,std"]
     for value in sorted(ec.sweep_values):
-        axis = {"rho": "rho", "m": "m_value", "lambda": "penalty"}[ec.sweep_axis]
-        rho = value if axis == "rho" else None
+        field = {"rho": "rho", "m": "m", "lambda": "penalty", "p_obs": "p_obs"}[ec.sweep_axis]
+        # an m sweep wins over a configured p_obs
+        cleared = {"p_obs": None} if field == "m" else {}
+        pc = dataclasses.replace(ec, **{field: value}, **cleared)
         errs = []
         for trial in range(ec.trials):
-            M, mask = plr.cli.build_ground_truth(ec, rho=rho)
-            Mhat, _, fset, _ = plr.cli.run_single_solve(
-                ec, M, mask, ec.obs_seed + trial, **{axis: value})
-            errs.append(plr.cli.normalized_error(ec, M, Mhat, fset))
+            M, mask = plr.cli.build_ground_truth(pc)
+            Mhat, _, fset = plr.cli.run_single_solve(pc, M, mask, pc.obs_seed + trial)
+            errs.append(plr.cli.normalized_error(pc, M, Mhat, fset))
         errs = np.array(errs)
         lines.append(f"{value!r},{float(errs.mean())!r},{float(errs.std(ddof=0))!r}")
     return "\n".join(lines) + "\n"
@@ -370,6 +419,43 @@ class TestErrorPaths:
     def test_bad_config_exits_nonzero(self, tmp_path):
         cfg = write_cfg(tmp_path, "mode = complete\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("line", ["lamda = 0.5", "penalty = 0.1"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, COMPLETION_CFG + line + "\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"unknown config key '{line.split()[0]}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key,value", [("d1", "2.5"), ("poissonize", "maybe"),
+                                           ("sweep_values", "1,x"), ("lambda", "big")])
+    def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, key, value):
+        text = re.sub(rf"^{key} = .*\n", "", COMPLETION_CFG, flags=re.M)
+        cfg = write_cfg(tmp_path, text + f"{key} = {value}\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"config key '{key}'" in err and "Traceback" not in err
+
+    def test_recovery_rejects_p_obs_sweep(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, RECOVERY_CFG + (
+            "sweep_axis = p_obs\nsweep_values = 0.3,0.5\ntrials = 1\n"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert "p_obs applies to completion only" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "sweep.csv").exists()
+
+    def test_malformed_ensemble_meta_exits_2(self, tmp_path, capsys):
+        main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
+              "--out", str(tmp_path / "lean"), "--regen-from-seed"])
+        meta = tmp_path / "lean" / "ensemble.meta"
+        meta.write_text(re.sub(r"^p = .*\n", "", meta.read_text(), flags=re.M))
+        cfg = write_cfg(tmp_path, (
+            "mode = recover\nsource = matrix\n"
+            f"matrix_file = {tmp_path / 'lean' / 'M.csv'}\n"
+            f"y_file = {tmp_path / 'lean' / 'y.csv'}\nensemble_meta = {meta}\n"
+            "alpha = 30\nbeta = 1\nrank_budget = 2\nmax_iter = 10\n"), name="meta.cfg")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert str(meta) in err and "lacks key 'p'" in err and "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "none.cfg"),
