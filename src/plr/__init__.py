@@ -40,7 +40,6 @@ from .objectives import (
     completion_objective,
     grad_nll_completion,
     grad_nll_recovery,
-    lipschitz_completion,
     nll_completion,
     nll_recovery,
     quadratic_model,

@@ -38,7 +38,7 @@ from .projections import positive_rescale
 from .sensing import (build_sensing_ensemble, load_ensemble,
                       sample_compressive_counts, save_ensemble)
 from .solvers import (SolverAbort, SolverConfig, accelerated_proximal_gradient,
-                      default_init, pmlsvt, proximal_gradient, select_lambda_default)
+                      default_init, pmlsvt, proximal_gradient)
 from .synthdata import (PatchLayout, gen_exact_low_rank, image_to_patch_matrix,
                         load_count_csv, rank_l_approx, read_pgm,
                         sample_completion_observations)
@@ -190,6 +190,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"solver = {self.solver} supports completion only; "
                 "use solver = pmlsvt for recovery")
+        if self.mode == "recovery":
+            # recovery m counts masks; completion's m is an expected count
+            swept = self.sweep_values if self.sweep_axis == "m" else []
+            for m in [self.m, *swept]:
+                if m is not None and not float(m).is_integer():
+                    raise ConfigError(f"recovery m must be a whole number, got {m!r}")
         if need_sweep:
             if self.sweep_axis is None:
                 raise ConfigError("sweep command requires sweep_axis")
@@ -203,6 +209,9 @@ class ExperimentConfig:
                                   "recovery does not read p_obs")
             if not self.sweep_values:
                 raise ConfigError("sweep requires a non-empty sweep_values list")
+            repeated = [v for v, n in Counter(self.sweep_values).items() if n > 1]
+            if repeated:
+                raise ConfigError(f"sweep_values lists {repeated[0]!r} more than once")
             if self.trials < 1:
                 raise ConfigError("trials must be >= 1")
             if self.sweep_axis in ("m", "p_obs") and (
@@ -382,11 +391,8 @@ def run_single_solve(ec, M, mask, seed, ensemble=None):
         fset = feasible_set_for(ec, M, m_value=ensemble.m)
         obj = recovery_objective(ensemble, y.counts, fset)
 
-    lam = ec.penalty
-    if lam is None:
-        lam = select_lambda_default(fset, *M.shape)
     config = SolverConfig(max_iter=ec.max_iter, step_recip=ec.step_recip,
-                          step_scale=ec.step_scale, penalty=lam, tol=ec.tol,
+                          step_scale=ec.step_scale, penalty=ec.penalty, tol=ec.tol,
                           mode=ec.mode,
                           stop_on_objective_delta=ec.stop_on_objective_delta)
     if ec.solver == "pmlsvt":

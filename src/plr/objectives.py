@@ -1,5 +1,5 @@
-"""Poisson negative log-likelihoods, their gradients, the Lipschitz constant,
-and the local quadratic model used by the thresholding solver.
+"""Poisson negative log-likelihoods, their gradients, and the local quadratic
+model used by the thresholding solver.
 
 Conventions: 0*log(0) counts as 0, so observations with zero counts are
 compatible with zero rates.  Rates carrying a positive count must stay above
@@ -102,11 +102,6 @@ def grad_nll_recovery(ensemble, y, X, rate_floor=MIN_RATE_FLOOR):
                             apply_forward(ensemble, X), rate_floor)
 
 
-def lipschitz_completion(fset):
-    """Gradient Lipschitz constant alpha / beta**2 on the box."""
-    return fset.lipschitz()
-
-
 def quadratic_model(f_val, grad, X, X_prev, t):
     """Local quadratic model around X_prev with curvature t:
 
@@ -172,9 +167,6 @@ class RecoveryObjective:
 
     def gradient(self, X):
         return _grad_from_rates(self.ensemble, self.y, self._rates(X), self.rate_floor)
-
-    def with_rate_floor(self, rate_floor):
-        return RecoveryObjective(self.ensemble, self.y, rate_floor)
 
 
 def completion_objective(obs, fset):

@@ -1,5 +1,6 @@
-"""Optimization drivers: proximal gradient, its accelerated variant, and the
-penalized maximum-likelihood singular value thresholding loop (PMLSVT).
+"""Optimization drivers: proximal gradient and its accelerated variant (one
+fixed-step loop, for completion), and the penalized maximum-likelihood
+singular value thresholding loop (PMLSVT).
 
 All solvers are deterministic given their inputs.  Completion iterates stay
 inside the entry box; recovery iterates are nonnegative with fixed total
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DegenerateInputError, RateFloorError, SolverTrace, as_matrix
-from .objectives import MIN_RATE_FLOOR, lipschitz_completion, quadratic_model
+from .objectives import MIN_RATE_FLOOR, quadratic_model
 from .projections import (_alternating_body, positive_rescale, project_box,
                           svd_factors)
 from .sensing import apply_adjoint
@@ -84,20 +85,14 @@ def _resolve_mode(obj, config):
     return mode
 
 
-def _generic_strategy(mode, fset):
-    """Feasibility map for the generic solvers.
-
-    Completion projects onto the box/nuclear intersection by alternating
-    projection (the final half-sweep is the box clamp).  Recovery follows the
-    same sweep and then rescales the positive part to the total intensity.
-    """
+def _generic_strategy(fset):
+    """Feasibility map of the fixed-step solvers: alternating projection onto
+    the box/nuclear intersection (the final half-sweep is the box clamp)."""
     def onto_intersection(X):
         radius = fset.nuclear_radius(*X.shape)
         return _alternating_body(X, fset.alpha, fset.beta, radius, 1e-8, 10_000)[0]
 
-    if mode == "completion":
-        return onto_intersection
-    return lambda X: positive_rescale(onto_intersection(X), fset.total_intensity)
+    return onto_intersection
 
 
 def default_init(obj, fset):
@@ -114,26 +109,30 @@ def default_init(obj, fset):
     return X0
 
 
-def proximal_gradient(obj, fset, X0, config):
-    """Projected gradient descent with the fixed step 1/L.
-
-    Iterates X_k = Pi_S(X_{k-1} - (1/L) grad f(X_{k-1})); the objective is
-    non-increasing along the trace.  Stops after ``max_iter`` iterations or
-    when the objective change drops below ``tol``.
-    """
-    mode = _resolve_mode(obj, config)
-    strategy = _generic_strategy(mode, fset)
-    L = lipschitz_completion(fset)
-    X = strategy(as_matrix(X0))
+def _fixed_step(obj, fset, X0, config, momentum):
+    """Completion loop of both fixed-step solvers: X_k = Pi_S(Z - grad f(Z) / L)
+    at Z = X_{k-1}, or at its Nesterov extrapolation with ``momentum``.  An
+    abort carries the last accepted iterate X_{k-1}."""
+    if _resolve_mode(obj, config) != "completion":
+        # the completion step beta**2/alpha leaves a recovery iterate in place
+        raise ValueError("the fixed-step solvers support completion only; use pmlsvt for recovery")
+    strategy = _generic_strategy(fset)
+    L = fset.lipschitz()
+    # The extrapolated point Z can leave the entry box, where the objective
+    # is still defined as long as rates stay positive; only positivity is
+    # enforced when differentiating there.
+    grad_obj = obj.with_rate_floor(min(obj.rate_floor, MIN_RATE_FLOOR))
+    X = Z = strategy(as_matrix(X0))
     trace = SolverTrace()
     f_prev = None
-    for _ in range(config.max_iter):
+    for k in range(1, config.max_iter + 1):
         try:
-            G = obj.gradient(X)
-            X = strategy(X - G / L)
-            f = obj.value(X)
+            X_new = strategy(Z - grad_obj.gradient(Z) / L)
+            f = obj.value(X_new)
         except RateFloorError as exc:
             raise SolverAbort(f"objective domain error: {exc}", X, trace) from exc
+        X_prev, X = X, X_new
+        Z = X + ((k - 1.0) / (k + 2.0)) * (X - X_prev) if momentum else X
         trace.record(f, L)
         if f_prev is not None and config.tol > 0 and abs(f - f_prev) < config.tol:
             trace.terminated_by = "tolerance"
@@ -141,6 +140,16 @@ def proximal_gradient(obj, fset, X0, config):
         f_prev = f
     trace.terminated_by = "max_iter"
     return X, trace
+
+
+def proximal_gradient(obj, fset, X0, config):
+    """Projected gradient descent with the fixed step 1/L.
+
+    Iterates X_k = Pi_S(X_{k-1} - (1/L) grad f(X_{k-1})); the objective is
+    non-increasing along the trace.  Stops after ``max_iter`` iterations or
+    when the objective change drops below ``tol``.
+    """
+    return _fixed_step(obj, fset, X0, config, momentum=False)
 
 
 def accelerated_proximal_gradient(obj, fset, X0, config):
@@ -150,34 +159,7 @@ def accelerated_proximal_gradient(obj, fset, X0, config):
     Z_k = X_k + ((k-1)/(k+2)) (X_k - X_{k-1}); the first iteration coincides
     with a plain proximal-gradient step.  Monotone descent is not guaranteed.
     """
-    mode = _resolve_mode(obj, config)
-    strategy = _generic_strategy(mode, fset)
-    L = lipschitz_completion(fset)
-    # The extrapolated point Z can leave the entry box, where the objective
-    # is still defined as long as rates stay positive; only positivity is
-    # enforced when differentiating there.
-    grad_obj = obj.with_rate_floor(min(obj.rate_floor, MIN_RATE_FLOOR))
-    X = strategy(as_matrix(X0))
-    X_prev = X
-    Z = X
-    trace = SolverTrace()
-    f_prev = None
-    for k in range(1, config.max_iter + 1):
-        try:
-            G = grad_obj.gradient(Z)
-            X_new = strategy(Z - G / L)
-            f = obj.value(X_new)
-        except RateFloorError as exc:
-            raise SolverAbort(f"objective domain error: {exc}", X, trace) from exc
-        X_prev, X = X, X_new
-        Z = X + ((k - 1.0) / (k + 2.0)) * (X - X_prev)
-        trace.record(f, L)
-        if f_prev is not None and config.tol > 0 and abs(f - f_prev) < config.tol:
-            trace.terminated_by = "tolerance"
-            return X, trace
-        f_prev = f
-    trace.terminated_by = "max_iter"
-    return X, trace
+    return _fixed_step(obj, fset, X0, config, momentum=True)
 
 
 def pmlsvt(obj, fset, X0=None, config=None, feasible_map=None):

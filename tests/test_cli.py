@@ -443,6 +443,23 @@ class TestErrorPaths:
         assert "p_obs applies to completion only" in capsys.readouterr().err
         assert not (tmp_path / "s" / "sweep.csv").exists()
 
+    def test_repeated_sweep_value_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, COMPLETION_CFG + (
+            "sweep_axis = rho\nsweep_values = 1,2,1\ntrials = 1\n"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert "sweep_values lists 1.0 more than once" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("command,lines,bad", [
+        ("synth", "m = 40.7\n", "40.7"),
+        ("sweep", "sweep_axis = m\nsweep_values = 30,40.5\ntrials = 1\n", "40.5")],
+        ids=["config_m", "sweep_value"])
+    def test_fractional_recovery_m_exits_2(self, tmp_path, capsys, command, lines, bad):
+        cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("m = 40\n", "") + lines)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"recovery m must be a whole number, got {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_ensemble_meta_exits_2(self, tmp_path, capsys):
         main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
               "--out", str(tmp_path / "lean"), "--regen-from-seed"])

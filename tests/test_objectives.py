@@ -6,8 +6,8 @@ import plr.solvers
 from oracles import finite_difference_gradient
 from plr.core import CompletionObservations, FeasibleSet, RateFloorError, seeded_rng
 from plr.objectives import (RecoveryObjective, completion_objective, grad_nll_completion,
-                            grad_nll_recovery, lipschitz_completion, nll_completion,
-                            nll_recovery, quadratic_model, recovery_objective)
+                            grad_nll_recovery, nll_completion, nll_recovery,
+                            quadratic_model, recovery_objective)
 from plr.sensing import (SensingEnsemble, apply_forward, build_sensing_ensemble,
                          sample_compressive_counts)
 from plr.solvers import SolverConfig, pmlsvt
@@ -146,11 +146,6 @@ class TestGradRecovery:
 
 
 class TestLipschitz:
-    def test_values(self):
-        assert lipschitz_completion(FeasibleSet(alpha=200.0, beta=1.0)) == 200.0
-        k = 7.0
-        assert lipschitz_completion(FeasibleSet(alpha=k * 2.0, beta=2.0)) == pytest.approx(k / 2.0)
-
     def test_empirical_gradient_lipschitz(self):
         # counts capped at alpha so the Hessian bound alpha/beta^2 applies
         rng = seeded_rng(10)

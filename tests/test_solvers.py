@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from plr.core import CompletionObservations, FeasibleSet, seeded_rng
-from plr.objectives import (completion_objective, grad_nll_recovery, nll_recovery,
-                            recovery_objective)
+from plr.core import CompletionObservations, FeasibleSet, RateFloorError, seeded_rng
+from plr.objectives import (CompletionObjective, completion_objective, grad_nll_recovery,
+                            nll_recovery, recovery_objective)
 from plr.projections import positive_rescale
 from plr.sensing import apply_adjoint, build_sensing_ensemble, sample_compressive_counts
 from plr.solvers import (SolverAbort, SolverConfig, accelerated_proximal_gradient,
@@ -127,7 +127,82 @@ class TestAcceleratedProximalGradient:
         assert first_below(tr_acc) < first_below(tr_pg)
 
 
+class FailingGradient(CompletionObjective):
+    """Completion objective whose gradient raises on call ``fail_at``, counted
+    across the handles :meth:`with_rate_floor` derives."""
+
+    def __init__(self, obs, rate_floor, fail_at, calls=None):
+        super().__init__(obs, rate_floor)
+        self.fail_at = fail_at
+        self.calls = [] if calls is None else calls
+
+    def gradient(self, X):
+        self.calls.append(None)
+        if len(self.calls) == self.fail_at:
+            raise RateFloorError("injected gradient failure", index=(0, 0))
+        return super().gradient(X)
+
+    def with_rate_floor(self, rate_floor):
+        return FailingGradient(self.obs, rate_floor, self.fail_at, self.calls)
+
+
+def small_completion():
+    fset = FeasibleSet(alpha=20.0, beta=1.0, rank_budget=2)
+    M = seeded_rng(3).uniform(2.0, 18.0, (6, 6))
+    return fset, completion_objective(full_observation(M, 4), fset), np.full((6, 6), 10.5)
+
+
+@pytest.mark.parametrize("solver", [proximal_gradient, accelerated_proximal_gradient])
+class TestFixedStep:
+    def test_abort_carries_last_accepted_iterate(self, solver):
+        fset, obj, X0 = small_completion()
+        k = 7
+        X_k, _ = solver(obj, fset, X0, SolverConfig(max_iter=k, mode="completion"))
+        failing = FailingGradient(obj.obs, obj.rate_floor, fail_at=k + 1)
+        with pytest.raises(SolverAbort, match="objective domain error") as err:
+            solver(failing, fset, X0, SolverConfig(max_iter=50, mode="completion"))
+        assert err.value.trace.iterations_run == k
+        assert err.value.matrix.tobytes() == X_k.tobytes()
+
+    def test_rejects_recovery(self, solver):
+        M = seeded_rng(9).uniform(1.0, 5.0, (5, 4))
+        fset = FeasibleSet(alpha=M.sum(), beta=1e-6, rank_budget=2,
+                           total_intensity=M.sum(), entry_floor=1e-6)
+        ens = build_sensing_ensemble(5, 4, 30, 0.5, seed=10)
+        obj = recovery_objective(ens, sample_compressive_counts(ens, M, seed=11).counts, fset)
+        with pytest.raises(ValueError, match="completion only; use pmlsvt"):
+            solver(obj, fset, default_init(obj, fset), SolverConfig(max_iter=5))
+
+
+class ValueFailsAfter(CompletionObjective):
+    """Completion objective whose value raises after ``ok_calls`` calls."""
+
+    def __init__(self, obs, rate_floor, ok_calls):
+        super().__init__(obs, rate_floor)
+        self.ok_calls = ok_calls
+
+    def value(self, X):
+        self.ok_calls -= 1
+        if self.ok_calls < 0:
+            raise RateFloorError("injected value failure", index=(0, 0))
+        return super().value(X)
+
+
 class TestPmlsvt:
+    def test_abort_when_backtracking_diverges(self):
+        # t = 10 L accepts each first trial, so the start and k iterations
+        # take k + 1 value calls; every later trial is rejected
+        fset, obj, X0 = small_completion()
+        k = 5
+        rejecting = ValueFailsAfter(obj.obs, obj.rate_floor, ok_calls=1 + k)
+        cfg = SolverConfig(max_iter=50, step_recip=10.0 * fset.lipschitz(),
+                           step_scale=10.0, penalty=0.0, mode="completion")
+        with pytest.raises(SolverAbort, match="backtracking diverged") as err:
+            pmlsvt(rejecting, fset, X0=X0, config=cfg)
+        assert err.value.trace.iterations_run == k
+        assert err.value.trace.step_control == [cfg.step_recip] * k
+
+
     def test_identity_strategy_single_step_is_projected_gradient(self):
         # lambda = 0 and t >= L: one iteration reduces to X0 - (1/t) grad
         fset = FeasibleSet(alpha=20.0, beta=1.0, rank_budget=2)
