@@ -18,11 +18,10 @@ import argparse
 import dataclasses
 import os
 import sys
-import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +52,9 @@ _SOURCES = ("synthetic", "matrix", "image", "counts")
 _SOLVERS = ("pmlsvt", "proximal", "accelerated")
 # sweep_axis -> the ExperimentConfig field a sweep point replaces
 _AXIS_FIELDS = {"rho": "rho", "m": "m", "lambda": "penalty", "p_obs": "p_obs"}
+# mode -> the keys only the other mode reads (each defaults to None)
+_UNREAD_KEYS = {"recovery": ("p_obs", "obs_file"),
+                "completion": ("total_intensity", "y_file", "ensemble_file", "ensemble_meta")}
 
 
 class ConfigError(ValueError):
@@ -190,6 +192,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"solver = {self.solver} supports completion only; "
                 "use solver = pmlsvt for recovery")
+        if self.sweep_axis == "lambda" and self.solver != "pmlsvt":
+            raise ConfigError(f"solver = {self.solver} never reads lambda; "
+                              "sweeping lambda needs solver = pmlsvt")
+        for key in _UNREAD_KEYS[self.mode]:
+            if getattr(self, key) is not None:
+                raise ConfigError(f"{self.mode} never reads config key {key!r}")
         if self.mode == "recovery":
             # recovery m counts masks; completion's m is an expected count
             swept = self.sweep_values if self.sweep_axis == "m" else []
@@ -274,7 +282,7 @@ def build_ground_truth(ec, rho=None):
         M, mask = load_count_csv(ec.counts_file)
     if rho != 1.0:
         M = rho * M
-    if ec.total_intensity is not None and ec.mode == "recovery":
+    if ec.total_intensity is not None:
         M = positive_rescale(M, rho * ec.total_intensity)
     if ec.mode == "completion" and ec.source != "counts":
         M = np.clip(M, ec.beta, ec.alpha)
@@ -482,67 +490,20 @@ def cmd_solve(ec, out_dir):
     return 0
 
 
-def _mask_key(ec, seed):
-    """The (m, seed) a recovery point's masks depend on; (None, None) when
-    they are read from ensemble_file or ensemble_meta."""
-    if ec.ensemble_file is not None or ec.ensemble_meta is not None:
-        return None, None
-    return ec.m, seed
-
-
-class _SharedMasks:
-    """Recovery sensing masks that several sweep points use, by :func:`_mask_key`.
-
-    The first point that needs a mask set builds it and the last point that
-    uses it drops it, so a sweep run trial by trial holds only the mask sets
-    of the trials in flight.  Keys that one point alone uses (every point of
-    an m sweep) are not held: that point draws its own masks.  Points share
-    the read-only packed bits only; each gets its own ensemble on them, so it
-    unpacks its own dense indicator and drops it when it ends.
-    """
-
-    def __init__(self, shape, keys):
-        self._shape = shape
-        self._left = {key: n for key, n in Counter(keys).items() if n > 1}
-        self._locks = {key: threading.Lock() for key in self._left}
-        self._held = {}
-
-    @contextmanager
-    def use(self, ec, seed):
-        """This point's ensemble on the shared masks of its key; None if unshared."""
-        key = _mask_key(ec, seed)
-        lock = self._locks.get(key)
-        if lock is None:
-            yield None
-            return
-        with lock:
-            if key not in self._held:
-                # packed bits are read-only as built or loaded
-                self._held[key] = recovery_ensemble(ec, *self._shape, seed)
-            ensemble = dataclasses.replace(self._held[key], _dense=None)
-        try:
-            yield ensemble
-        finally:
-            with lock:
-                self._left[key] -= 1
-                if not self._left[key]:
-                    del self._held[key]
-
-
-def _sweep_point(ec, value, trial, truths, masks):
+def _sweep_point(ec, value, trial, truths, ensemble):
     """One (sweep value, trial) cell; returns the normalized error.
 
-    ``ec`` is the point's config, ``truths`` holds the sweep's ground truth per rho, ``masks`` its
-    :class:`_SharedMasks`.
+    ``ec`` is the point's config, ``truths`` holds the sweep's ground truth
+    per rho and ``ensemble`` is the trial's shared sensing masks, or None
+    when the point draws its own (completion, or an m sweep).
     """
     seed = ec.obs_seed + trial
     M, mask = truths[ec.rho]
-    with masks.use(ec, seed) as ensemble:
-        try:
-            Mhat, _, fset = run_single_solve(ec, M, mask, seed, ensemble=ensemble)
-        except SolverAbort as exc:
-            raise SolverAbort(f"at value={value!r}, trial={trial}: {exc}",
-                              exc.matrix, exc.trace) from exc
+    try:
+        Mhat, _, fset = run_single_solve(ec, M, mask, seed, ensemble=ensemble)
+    except SolverAbort as exc:
+        raise SolverAbort(f"at value={value!r}, trial={trial}: {exc}",
+                          exc.matrix, exc.trace) from exc
     return normalized_error(ec, M, Mhat, fset)
 
 
@@ -558,8 +519,10 @@ def cmd_sweep(ec, out_dir, threads=1):
     """Run trials at every sweep value; write value,mean,std rows sorted by value.
 
     The ground truth is built once per distinct rho, before the points run,
-    and is read-only; recovery masks several points use are built once (see
-    :class:`_SharedMasks`).  Points run trial by trial.
+    and is read-only.  Points run trial by trial.  A recovery trial's points
+    share one mask set, drawn and unpacked by this thread before they start
+    and dropped before the next trial's; an m sweep's points draw their own,
+    and a fixed ensemble_file/ensemble_meta is read once for the sweep.
     """
     ec.validate(need_sweep=True)
     os.makedirs(out_dir, exist_ok=True)
@@ -567,19 +530,29 @@ def cmd_sweep(ec, out_dir, threads=1):
     # a point's config is ec with the swept field replaced; an m point also
     # clears p_obs, which would otherwise win over m
     cleared = {"p_obs": None} if ec.sweep_axis == "m" else {}
-    configs = {value: dataclasses.replace(ec, **{_AXIS_FIELDS[ec.sweep_axis]: value}, **cleared)
-               for value in values}
-    points = [(value, trial) for trial in range(ec.trials) for value in values]
-    rhos = list(dict.fromkeys(pc.rho for pc in configs.values()))
+    configs = [dataclasses.replace(ec, **{_AXIS_FIELDS[ec.sweep_axis]: value}, **cleared)
+               for value in values]
+    rhos = list(dict.fromkeys(pc.rho for pc in configs))
+    errs = []
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         truths = dict(zip(rhos, run(lambda rho: _read_only(*build_ground_truth(ec, rho=rho)),
                                     rhos)))
-        keys = [_mask_key(configs[value], ec.obs_seed + trial) for value, trial in points]
-        masks = _SharedMasks(truths[rhos[0]][0].shape, keys if ec.mode == "recovery" else [])
-        errs = np.array(list(run(
-            lambda vt: _sweep_point(configs[vt[0]], *vt, truths, masks), points)))
-    errs = errs.reshape(ec.trials, len(values))
+        shape = truths[rhos[0]][0].shape
+        fixed = None
+        if ec.ensemble_file or ec.ensemble_meta:  # recovery only, see validate
+            fixed = recovery_ensemble(ec, *shape, ec.obs_seed)
+        for trial in range(ec.trials):
+            ensemble = fixed
+            if ensemble is None and ec.mode == "recovery" and ec.sweep_axis != "m":
+                ensemble = recovery_ensemble(ec, *shape, ec.obs_seed + trial)
+            if ensemble is not None:
+                # unpacked by this thread, so the points only read the cached matrix
+                ensemble.indicator_matrix()
+            errs.append(list(run(lambda pv: _sweep_point(*pv, trial, truths, ensemble),
+                                 zip(configs, values))))
+            del ensemble  # before the next trial's masks are drawn
+    errs = np.array(errs)
     lines = ["value,mean,std"]
     for value, chunk in zip(values, errs.T):
         lines.append(f"{value!r},{float(chunk.mean())!r},{float(chunk.std(ddof=0))!r}")

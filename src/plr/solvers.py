@@ -42,7 +42,8 @@ class SolverConfig:
     the Lipschitz constant, PMLSVT starts there and only scales it up by
     ``step_scale`` when backtracking.  ``penalty`` is the nuclear-norm weight
     used by PMLSVT.  ``tol = 0`` disables early termination.  ``mode`` is
-    inferred from the objective when left as None.
+    inferred from the objective when left as None, and must match its
+    ``kind`` when set.
     """
 
     max_iter: int = 1000
@@ -79,7 +80,10 @@ def select_lambda_default(fset, d1, d2):
 
 
 def _resolve_mode(obj, config):
-    mode = config.mode or getattr(obj, "kind", None)
+    kind = getattr(obj, "kind", None)
+    mode = config.mode or kind
+    if kind is not None and mode != kind:
+        raise ValueError(f"SolverConfig.mode = {mode!r} contradicts the {kind} objective")
     if mode not in ("completion", "recovery"):
         raise ValueError("solver mode is neither configured nor inferable from the objective")
     return mode

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import typing
 import weakref
 
@@ -13,6 +14,7 @@ import plr
 import plr.cli
 from plr.cli import ConfigError, ExperimentConfig, main, parse_config
 from plr.core import SolverTrace, load_dense_csv
+from plr.sensing import SensingEnsemble
 from plr.solvers import SolverAbort
 
 COMPLETION_CFG = """\
@@ -371,9 +373,8 @@ class TestSweepSharing:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
         assert len(loads) == 1
 
-    @pytest.mark.parametrize("threads,bound", [(1, 0), (2, 2)])
-    def test_holds_only_the_mask_sets_of_trials_in_flight(
-            self, tmp_path, monkeypatch, threads, bound):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_holds_only_the_mask_sets_of_trials_in_flight(self, tmp_path, monkeypatch, threads):
         refs, alive = [], []
         original = plr.cli.build_sensing_ensemble
 
@@ -389,30 +390,44 @@ class TestSweepSharing:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
                      "--threads", str(threads)]) == 0
         assert len(refs) == 5
-        # mask sets alive when the next is built: those of trials still running
-        assert max(alive) <= bound
+        # a trial's mask set is dropped before the next trial's is built
+        assert max(alive) == 0
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_shared_inputs_are_read_only_and_unpacked_per_point(
+    def test_trial_points_share_one_read_only_ensemble_unpacked_once(
             self, tmp_path, monkeypatch, threads):
-        seen = []
-        original = plr.cli.run_single_solve
+        seen, unpacks = [], []
+        original_solve = plr.cli.run_single_solve
+        original_unpack = SensingEnsemble.indicator_matrix
+
+        def counting_unpack(ensemble):
+            if ensemble._dense is None:  # later calls return the cached matrix
+                unpacks.append((ensemble, threading.current_thread()))
+            return original_unpack(ensemble)
 
         def checking_solve(ec, M, mask, seed, ensemble=None, **kwargs):
-            for array in (M, ensemble.packed):
+            for array in (M, ensemble.packed, ensemble.indicator_matrix()):
                 with pytest.raises(ValueError, match="read-only"):
                     array.flat[0] = 0
-            assert ensemble._dense is None  # not unpacked by another point
-            seen.append(ensemble)
-            return original(ec, M, mask, seed, ensemble=ensemble, **kwargs)
+            seen.append((seed, ensemble))
+            return original_solve(ec, M, mask, seed, ensemble=ensemble, **kwargs)
 
+        monkeypatch.setattr(SensingEnsemble, "indicator_matrix", counting_unpack)
         monkeypatch.setattr(plr.cli, "run_single_solve", checking_solve)
         cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("max_iter = 150", "max_iter = 10") +
-                        "sweep_axis = rho\nsweep_values = 1,2\ntrials = 1\n")
+                        "sweep_axis = rho\nsweep_values = 1,2,3\ntrials = 2\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
                      "--threads", threads]) == 0
-        assert len(seen) == 2 and seen[0] is not seen[1]
-        assert seen[0].packed is seen[1].packed
+        by_trial = {}
+        for seed, ensemble in seen:
+            by_trial.setdefault(seed, []).append(ensemble)
+        assert sorted(len(points) for points in by_trial.values()) == [3, 3]
+        for points in by_trial.values():
+            assert all(ensemble is points[0] for ensemble in points)
+        # each trial's masks are unpacked once, by the thread running the sweep
+        assert len(unpacks) == 2
+        for (unpacked, thread), points in zip(unpacks, by_trial.values()):
+            assert unpacked is points[0] and thread is threading.main_thread()
 
 
 class TestErrorPaths:
@@ -483,6 +498,26 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("solver = pmlsvt", f"solver = {solver}"))
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "solver = pmlsvt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["proximal", "accelerated"])
+    def test_lambda_sweep_rejects_fixed_step_solvers(self, tmp_path, capsys, solver):
+        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("solver = pmlsvt", f"solver = {solver}") +
+                        "sweep_axis = lambda\nsweep_values = 0.001,0.1\ntrials = 1\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert "sweeping lambda needs solver = pmlsvt" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("mode,key", [
+        ("recovery", "p_obs"), ("recovery", "obs_file"),
+        ("completion", "total_intensity"), ("completion", "y_file"),
+        ("completion", "ensemble_file"), ("completion", "ensemble_meta")])
+    def test_key_the_mode_never_reads_exits_2(self, tmp_path, capsys, mode, key):
+        base = RECOVERY_CFG if mode == "recovery" else COMPLETION_CFG
+        value = "0.5" if key in ("p_obs", "total_intensity") else __file__  # an existing file
+        cfg = write_cfg(tmp_path, base + f"{key} = {value}\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"{mode} never reads config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_sweep_solver_abort_exits_3(self, tmp_path, capsys, monkeypatch, threads):

@@ -325,6 +325,16 @@ class TestPmlsvt:
         X, _ = pmlsvt(obj, fset, config=SolverConfig(max_iter=5, step_recip=50.0))
         assert 1.0 <= X[0, 0] <= 10.0
 
+    def test_configured_mode_must_match_the_objective(self):
+        M = seeded_rng(9).uniform(1.0, 5.0, (5, 4))
+        fset = FeasibleSet(alpha=M.sum(), beta=1e-6, rank_budget=2,
+                           total_intensity=M.sum(), entry_floor=1e-6)
+        ens = build_sensing_ensemble(5, 4, 30, 0.5, seed=10)
+        obj = recovery_objective(ens, sample_compressive_counts(ens, M, seed=11).counts, fset)
+        # the completion box clamp would take the iterates out of Gamma0
+        with pytest.raises(ValueError, match="'completion' contradicts the recovery objective"):
+            pmlsvt(obj, fset, config=SolverConfig(max_iter=5, mode="completion"))
+
 
 class UncachedRecovery:
     """Recovery objective that applies the forward map on every call."""
