@@ -38,10 +38,6 @@ from .objectives import (
     CompletionObjective,
     RecoveryObjective,
     completion_objective,
-    grad_nll_completion,
-    grad_nll_recovery,
-    nll_completion,
-    nll_recovery,
     quadratic_model,
     recovery_objective,
 )

@@ -52,9 +52,12 @@ _SOURCES = ("synthetic", "matrix", "image", "counts")
 _SOLVERS = ("pmlsvt", "proximal", "accelerated")
 # sweep_axis -> the ExperimentConfig field a sweep point replaces
 _AXIS_FIELDS = {"rho": "rho", "m": "m", "lambda": "penalty", "p_obs": "p_obs"}
-# mode -> the keys only the other mode reads (each defaults to None)
+# mode or solver -> the ExperimentConfig fields it never reads
+_FIXED_STEP_UNREAD = ("penalty", "step_recip", "step_scale", "stop_on_objective_delta")
 _UNREAD_KEYS = {"recovery": ("p_obs", "obs_file"),
-                "completion": ("total_intensity", "y_file", "ensemble_file", "ensemble_meta")}
+                "completion": ("total_intensity", "y_file", "ensemble_file", "ensemble_meta"),
+                "pmlsvt": ("tol",),
+                "proximal": _FIXED_STEP_UNREAD, "accelerated": _FIXED_STEP_UNREAD}
 
 
 class ConfigError(ValueError):
@@ -195,9 +198,13 @@ class ExperimentConfig:
         if self.sweep_axis == "lambda" and self.solver != "pmlsvt":
             raise ConfigError(f"solver = {self.solver} never reads lambda; "
                               "sweeping lambda needs solver = pmlsvt")
-        for key in _UNREAD_KEYS[self.mode]:
-            if getattr(self, key) is not None:
-                raise ConfigError(f"{self.mode} never reads config key {key!r}")
+        # a key counts as set when its field differs from the dataclass default
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        for owner in (self.mode, self.solver):
+            for name in _UNREAD_KEYS[owner]:
+                if getattr(self, name) != defaults[name]:
+                    key = _FIELD_KEYS.get(name, name)
+                    raise ConfigError(f"{owner} never reads config key {key!r}")
         if self.mode == "recovery":
             # recovery m counts masks; completion's m is an expected count
             swept = self.sweep_values if self.sweep_axis == "m" else []

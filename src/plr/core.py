@@ -320,6 +320,8 @@ def load_dense_csv(path):
                 row = [float(tok) for tok in line.split(",")]
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"{path}: line {lineno}: non-finite entry")
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -341,7 +343,9 @@ def save_observations_csv(path, obs):
 
 def load_observations_csv(path, dims, sample_prob=1.0):
     """Read `row,col,count` triplets (1-based) into CompletionObservations."""
+    d1, d2 = dims
     rows, cols, counts = [], [], []
+    seen = set()
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "row,col,count":
@@ -357,6 +361,14 @@ def load_observations_csv(path, dims, sample_prob=1.0):
                 i, j, y = int(toks[0]), int(toks[1]), int(toks[2])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not (1 <= i <= d1 and 1 <= j <= d2):
+                raise ValueError(
+                    f"{path}: line {lineno}: cell ({i}, {j}) outside the {d1}x{d2} matrix")
+            if y < 0:
+                raise ValueError(f"{path}: line {lineno}: negative count {y}")
+            if (i, j) in seen:
+                raise ValueError(f"{path}: line {lineno}: duplicate cell ({i}, {j})")
+            seen.add((i, j))
             rows.append(i - 1)
             cols.append(j - 1)
             counts.append(y)

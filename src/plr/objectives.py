@@ -1,10 +1,12 @@
 """Poisson negative log-likelihoods, their gradients, and the local quadratic
 model used by the thresholding solver.
 
-Conventions: 0*log(0) counts as 0, so observations with zero counts are
-compatible with zero rates.  Rates carrying a positive count must stay above
-a small floor; violations raise :class:`~plr.core.RateFloorError` naming the
-offending index.
+Each likelihood is an objective handle exposing ``kind``, ``value(X)`` and
+``gradient(X)``; the fixed-step solvers also use ``rate_floor`` and
+``with_rate_floor``.  Conventions: 0*log(0) counts as 0, so observations with
+zero counts are compatible with zero rates.  Rates carrying a positive count
+must stay above the handle's floor; violations raise
+:class:`~plr.core.RateFloorError` naming the offending index.
 """
 
 from __future__ import annotations
@@ -16,90 +18,6 @@ from .sensing import apply_adjoint, apply_forward
 
 # Fallback floor for rates that the model cannot bound away from zero.
 MIN_RATE_FLOOR = 1e-12
-
-
-def completion_rate_floor(fset):
-    """Completion rates live on box entries, which are at least beta."""
-    return fset.beta
-
-
-def recovery_rate_floor(fset, m):
-    """Nonempty masks guarantee rates >= c/m; the epsilon absorbs empty masks."""
-    return max(fset.entry_floor / m, MIN_RATE_FLOOR)
-
-
-def _observed_values(obs, X, rate_floor):
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape != tuple(obs.dims):
-        raise ShapeMismatchError(
-            f"matrix shape {X.shape} does not match observation dims {obs.dims}")
-    vals = X[obs.rows, obs.cols]
-    if vals.size and not vals.min() >= rate_floor:
-        k = int(np.argmin(vals))
-        raise RateFloorError(
-            f"entry ({obs.rows[k]}, {obs.cols[k]}) = {vals[k]!r} is below the "
-            f"rate floor {rate_floor!r}", index=(int(obs.rows[k]), int(obs.cols[k])))
-    return vals
-
-
-def nll_completion(obs, X, rate_floor=MIN_RATE_FLOOR):
-    """Negative Poisson log-likelihood of the observed entries.
-
-    f(X) = sum over observed (i,j) of X_ij - Y_ij * log X_ij.
-    """
-    vals = _observed_values(obs, X, rate_floor)
-    if vals.size == 0:
-        return 0.0
-    return float(vals.sum() - (obs.counts * np.log(vals)).sum())
-
-
-def grad_nll_completion(obs, X, rate_floor=MIN_RATE_FLOOR):
-    """Gradient of :func:`nll_completion`: 1 - Y_ij/X_ij on the observed set, 0 off it."""
-    vals = _observed_values(obs, X, rate_floor)
-    G = np.zeros(obs.dims)
-    G[obs.rows, obs.cols] = 1.0 - obs.counts / vals
-    return G
-
-
-def _check_recovery_rates(y, rates, rate_floor):
-    """Validate the rates of a point against the counts; returns the mask y > 0."""
-    if y.shape != rates.shape:
-        raise ShapeMismatchError(f"count vector length {y.shape} != m={rates.shape}")
-    pos = y > 0
-    if pos.any() and rates[pos].min() < rate_floor:
-        k = int(np.nonzero(pos)[0][np.argmin(rates[pos])])
-        raise RateFloorError(
-            f"measurement {k} has count {y[k]} but rate {rates[k]!r} below the "
-            f"floor {rate_floor!r}", index=k)
-    return pos
-
-
-def _nll_from_rates(y, rates, rate_floor):
-    pos = _check_recovery_rates(y, rates, rate_floor)
-    return float(rates.sum() - (y[pos] * np.log(rates[pos])).sum())
-
-
-def _grad_from_rates(ensemble, y, rates, rate_floor):
-    pos = _check_recovery_rates(y, rates, rate_floor)
-    coeff = np.ones_like(rates)
-    coeff[pos] = 1.0 - y[pos] / rates[pos]
-    return apply_adjoint(ensemble, coeff)
-
-
-def nll_recovery(ensemble, y, X, rate_floor=MIN_RATE_FLOOR):
-    """Negative Poisson log-likelihood of compressive measurements.
-
-    f(X) = sum_i [AX]_i - y_i * log [AX]_i, with zero-count terms
-    contributing only their rate.
-    """
-    return _nll_from_rates(np.asarray(y, dtype=np.float64),
-                           apply_forward(ensemble, X), rate_floor)
-
-
-def grad_nll_recovery(ensemble, y, X, rate_floor=MIN_RATE_FLOOR):
-    """Gradient of :func:`nll_recovery` via the adjoint: sum_i (1 - y_i/[AX]_i) A_i."""
-    return _grad_from_rates(ensemble, np.asarray(y, dtype=np.float64),
-                            apply_forward(ensemble, X), rate_floor)
 
 
 def quadratic_model(f_val, grad, X, X_prev, t):
@@ -118,7 +36,8 @@ def quadratic_model(f_val, grad, X, X_prev, t):
 
 
 class CompletionObjective:
-    """Handle bundling completion data with its rate floor."""
+    """Negative Poisson log-likelihood of the observed entries, with the
+    rate floor below which an observed entry is rejected."""
 
     kind = "completion"
 
@@ -126,18 +45,41 @@ class CompletionObjective:
         self.obs = obs
         self.rate_floor = rate_floor
 
+    def _observed_values(self, X):
+        obs = self.obs
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape != tuple(obs.dims):
+            raise ShapeMismatchError(
+                f"matrix shape {X.shape} does not match observation dims {obs.dims}")
+        vals = X[obs.rows, obs.cols]
+        if vals.size and not vals.min() >= self.rate_floor:
+            k = int(np.argmin(vals))
+            raise RateFloorError(
+                f"entry ({obs.rows[k]}, {obs.cols[k]}) = {vals[k]!r} is below the "
+                f"rate floor {self.rate_floor!r}", index=(int(obs.rows[k]), int(obs.cols[k])))
+        return vals
+
     def value(self, X):
-        return nll_completion(self.obs, X, self.rate_floor)
+        """f(X) = sum over observed (i,j) of X_ij - Y_ij * log X_ij."""
+        vals = self._observed_values(X)
+        if vals.size == 0:
+            return 0.0
+        return float(vals.sum() - (self.obs.counts * np.log(vals)).sum())
 
     def gradient(self, X):
-        return grad_nll_completion(self.obs, X, self.rate_floor)
+        """1 - Y_ij/X_ij on the observed set, 0 off it."""
+        vals = self._observed_values(X)
+        G = np.zeros(self.obs.dims)
+        G[self.obs.rows, self.obs.cols] = 1.0 - self.obs.counts / vals
+        return G
 
     def with_rate_floor(self, rate_floor):
         return CompletionObjective(self.obs, rate_floor)
 
 
 class RecoveryObjective:
-    """Handle bundling an ensemble and its counts with the rate floor.
+    """Negative Poisson log-likelihood of compressive measurements, with the
+    rate floor below which a measurement with a positive count is rejected.
 
     ``value`` and ``gradient`` share the forward rates [AX]_i of the last
     point either was called at, so a solver that evaluates both at one
@@ -155,25 +97,44 @@ class RecoveryObjective:
         self._last = None  # (copy of X, apply_forward(ensemble, X))
 
     def _rates(self, X):
+        """The rates [AX]_i, checked against the floor, and the mask y > 0."""
         last = self._last
         if last is not None and np.array_equal(X, last[0]):
-            return last[1]
-        rates = apply_forward(self.ensemble, X)
-        self._last = (np.array(X, dtype=np.float64), rates)
-        return rates
+            rates = last[1]
+        else:
+            rates = apply_forward(self.ensemble, X)
+            self._last = (np.array(X, dtype=np.float64), rates)
+        y = self.y
+        if y.shape != rates.shape:
+            raise ShapeMismatchError(f"count vector length {y.shape} != m={rates.shape}")
+        pos = y > 0
+        if pos.any() and rates[pos].min() < self.rate_floor:
+            k = int(np.nonzero(pos)[0][np.argmin(rates[pos])])
+            raise RateFloorError(
+                f"measurement {k} has count {y[k]} but rate {rates[k]!r} below the "
+                f"floor {self.rate_floor!r}", index=k)
+        return rates, pos
 
     def value(self, X):
-        return _nll_from_rates(self.y, self._rates(X), self.rate_floor)
+        """f(X) = sum_i [AX]_i - y_i * log [AX]_i, with zero-count terms
+        contributing only their rate."""
+        rates, pos = self._rates(X)
+        return float(rates.sum() - (self.y[pos] * np.log(rates[pos])).sum())
 
     def gradient(self, X):
-        return _grad_from_rates(self.ensemble, self.y, self._rates(X), self.rate_floor)
+        """The adjoint sum_i (1 - y_i/[AX]_i) A_i."""
+        rates, pos = self._rates(X)
+        coeff = np.ones_like(rates)
+        coeff[pos] = 1.0 - self.y[pos] / rates[pos]
+        return apply_adjoint(self.ensemble, coeff)
 
 
 def completion_objective(obs, fset):
-    """Completion handle with the box lower bound as rate floor."""
-    return CompletionObjective(obs, completion_rate_floor(fset))
+    """Completion handle whose rate floor is beta: box entries are at least beta."""
+    return CompletionObjective(obs, fset.beta)
 
 
 def recovery_objective(ensemble, y, fset):
-    """Recovery handle with floor max(c/m, eps)."""
-    return RecoveryObjective(ensemble, y, recovery_rate_floor(fset, ensemble.m))
+    """Recovery handle with floor max(c/m, eps): nonempty masks guarantee
+    rates >= c/m, and the epsilon absorbs empty masks."""
+    return RecoveryObjective(ensemble, y, max(fset.entry_floor / ensemble.m, MIN_RATE_FLOOR))

@@ -80,13 +80,10 @@ def select_lambda_default(fset, d1, d2):
 
 
 def _resolve_mode(obj, config):
-    kind = getattr(obj, "kind", None)
-    mode = config.mode or kind
-    if kind is not None and mode != kind:
-        raise ValueError(f"SolverConfig.mode = {mode!r} contradicts the {kind} objective")
-    if mode not in ("completion", "recovery"):
-        raise ValueError("solver mode is neither configured nor inferable from the objective")
-    return mode
+    if config.mode not in (None, obj.kind):
+        raise ValueError(
+            f"SolverConfig.mode = {config.mode!r} contradicts the {obj.kind} objective")
+    return obj.kind
 
 
 def _generic_strategy(fset):

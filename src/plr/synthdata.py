@@ -238,20 +238,27 @@ def load_count_csv(path):
 def read_pgm(path):
     """Read an ASCII (P2) PGM image as a float matrix."""
     with open(path) as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
-    if not tokens or tokens[0] != "P2":
+        tokens = [(lineno, tok) for lineno, line in enumerate(fh, start=1)
+                  for tok in line.split("#", 1)[0].split()]
+    if not tokens or tokens[0][1] != "P2":
         raise ValueError(f"{path}: not an ASCII PGM (P2) file")
     if len(tokens) < 4:
         raise ValueError(f"{path}: truncated PGM header")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    pixels = np.array([int(t) for t in tokens[4:]], dtype=np.float64)
+
+    def integer(lineno, tok):
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: expected an integer, got {tok!r}") from None
+
+    width, height, maxval = (integer(*t) for t in tokens[1:4])
+    pixels = np.array([integer(*t) for t in tokens[4:]], dtype=np.float64)
     if pixels.size != width * height:
         raise ValueError(f"{path}: expected {width * height} pixels, got {pixels.size}")
-    if pixels.size and (pixels.min() < 0 or pixels.max() > maxval):
-        raise ValueError(f"{path}: pixel outside [0, {maxval}]")
+    outside = (pixels < 0) | (pixels > maxval)
+    if outside.any():
+        lineno, tok = tokens[4 + int(np.argmax(outside))]
+        raise ValueError(f"{path}: line {lineno}: pixel {tok} outside [0, {maxval}]")
     return pixels.reshape(height, width)
 
 

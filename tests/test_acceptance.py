@@ -15,9 +15,8 @@ from plr.cli import main as cli_main
 from plr.core import (CompletionObservations, FeasibleSet, load_dense_csv, seeded_rng)
 from plr.metrics import (hellinger_lower_bound_factor, hellinger_matrix,
                          hellinger_poisson, kl_poisson, squared_error)
-from plr.objectives import (completion_objective, grad_nll_completion,
-                            grad_nll_recovery, nll_completion, nll_recovery,
-                            recovery_objective)
+from plr.objectives import (MIN_RATE_FLOOR, CompletionObjective, RecoveryObjective,
+                            completion_objective, recovery_objective)
 from plr.projections import positive_rescale, project_l1_ball, svt
 from plr.sensing import (apply_adjoint, apply_forward, build_sensing_ensemble,
                          sample_compressive_counts)
@@ -84,8 +83,9 @@ def test_criterion_03_gradient_finite_difference_agreement():
         obs = CompletionObservations(rows=rows, cols=cols,
                                      counts=rng.poisson(6.0, rows.size), dims=(d1, d2))
         X = rng.uniform(2.0, 20.0, (d1, d2))
-        G = grad_nll_completion(obs, X)
-        Gfd = finite_difference_gradient(lambda Z: nll_completion(obs, Z), X)
+        f = CompletionObjective(obs, MIN_RATE_FLOOR)
+        G = f.gradient(X)
+        Gfd = finite_difference_gradient(f.value, X)
         assert np.linalg.norm(G - Gfd) <= 1e-5 * max(np.linalg.norm(G), 1.0)
     for _ in range(20):
         d1 = int(rng.integers(2, 9))
@@ -95,8 +95,9 @@ def test_criterion_03_gradient_finite_difference_agreement():
         M = rng.uniform(2.0, 12.0, (d1, d2))
         y = rng.poisson(np.maximum(apply_forward(ens, M), 0.0)).astype(float)
         X = rng.uniform(2.0, 12.0, (d1, d2))
-        G = grad_nll_recovery(ens, y, X)
-        Gfd = finite_difference_gradient(lambda Z: nll_recovery(ens, y, Z), X)
+        f = RecoveryObjective(ens, y, MIN_RATE_FLOOR)
+        G = f.gradient(X)
+        Gfd = finite_difference_gradient(f.value, X)
         assert np.linalg.norm(G - Gfd) <= 1e-5 * max(np.linalg.norm(G), 1.0)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -13,9 +13,12 @@ import pytest
 import plr
 import plr.cli
 from plr.cli import ConfigError, ExperimentConfig, main, parse_config
-from plr.core import SolverTrace, load_dense_csv
+from plr.core import (FeasibleSet, SolverTrace, load_dense_csv, load_observations_csv,
+                      save_dense_csv)
+from plr.objectives import completion_objective
 from plr.sensing import SensingEnsemble
-from plr.solvers import SolverAbort
+from plr.solvers import (SolverAbort, SolverConfig, accelerated_proximal_gradient,
+                         default_init, proximal_gradient)
 
 COMPLETION_CFG = """\
 # tiny synthetic completion experiment
@@ -53,6 +56,12 @@ step_recip = 1e-4
 step_scale = 1.1
 lambda = 0.01
 """
+
+
+def fixed_step_cfg(solver):
+    """COMPLETION_CFG run by ``solver``, without the keys only pmlsvt reads."""
+    text = re.sub(r"^(step_recip|step_scale|lambda) = .*\n", "", COMPLETION_CFG, flags=re.M)
+    return text.replace("solver = pmlsvt", f"solver = {solver}")
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -165,6 +174,22 @@ class TestSynthSolvePipeline:
         metrics = (tmp_path / "r1" / "metrics.txt").read_text()
         for key in ("R=", "normalized_error=", "kl=", "hellinger=", "wall_time_s="):
             assert key in metrics
+
+    @pytest.mark.parametrize("solver", ["proximal", "accelerated"])
+    def test_fixed_step_solve_matches_the_library(self, tmp_path, solver):
+        cfg = write_cfg(tmp_path, fixed_step_cfg(solver))
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        trace = (tmp_path / "r" / "trace.csv").read_text().splitlines()
+        assert len(trace) == 201
+        assert all(row.split(",")[2] == repr(30.0 / 1.0**2) for row in trace[1:])
+        fset = FeasibleSet(alpha=30.0, beta=1.0, rank_budget=2)
+        obj = completion_objective(load_observations_csv(tmp_path / "s" / "obs.csv", (8, 6)),
+                                   fset)
+        run = proximal_gradient if solver == "proximal" else accelerated_proximal_gradient
+        Mhat, _ = run(obj, fset, default_init(obj, fset), SolverConfig(max_iter=200))
+        save_dense_csv(tmp_path / "lib.csv", Mhat)
+        assert (tmp_path / "r" / "Mhat.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
     def test_recovery_regen_from_seed_matches_stored_masks(self, tmp_path):
         cfg = write_cfg(tmp_path, RECOVERY_CFG)
@@ -517,6 +542,18 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, base + f"{key} = {value}\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert f"{mode} never reads config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("solver,key,value", [
+        ("pmlsvt", "tol", "5"),
+        ("proximal", "lambda", "5"), ("proximal", "step_recip", "1e3"),
+        ("proximal", "step_scale", "3"), ("proximal", "stop_on_objective_delta", "true"),
+        ("accelerated", "lambda", "5"), ("accelerated", "step_recip", "1e3"),
+        ("accelerated", "step_scale", "3"), ("accelerated", "stop_on_objective_delta", "true")])
+    def test_key_the_solver_never_reads_exits_2(self, tmp_path, capsys, solver, key, value):
+        cfg = write_cfg(tmp_path, fixed_step_cfg(solver) + f"{key} = {value}\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"{solver} never reads config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])

@@ -180,6 +180,27 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="header"):
             load_observations_csv(path, (3, 2))
 
+    @pytest.mark.parametrize("line,message", [
+        ("4,1,5", "line 3: cell (4, 1) outside the 3x2 matrix"),
+        ("1,3,5", "line 3: cell (1, 3) outside the 3x2 matrix"),
+        ("0,1,5", "line 3: cell (0, 1) outside the 3x2 matrix"),
+        ("2,1,-1", "line 3: negative count -1"),
+        ("1,2,7", "line 3: duplicate cell (1, 2)")])
+    def test_observations_errors_name_file_line_and_cell(self, tmp_path, line, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"row,col,count\n1,2,4\n{line}\n")
+        with pytest.raises(ValueError) as err:
+            load_observations_csv(path, (3, 2))
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_dense_rejects_non_finite_naming_line(self, tmp_path, token):
+        path = tmp_path / "m.csv"
+        path.write_text(f"1.0,2.0\n3.0,{token}\n")
+        with pytest.raises(ValueError) as err:
+            load_dense_csv(path)
+        assert str(err.value) == f"{path}: line 2: non-finite entry"
+
 
 class TestAtomicWrite:
     @pytest.mark.parametrize("data", ["text\n", b"\x00\xffbytes"])

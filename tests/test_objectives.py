@@ -5,9 +5,8 @@ import plr.objectives
 import plr.solvers
 from oracles import finite_difference_gradient
 from plr.core import CompletionObservations, FeasibleSet, RateFloorError, seeded_rng
-from plr.objectives import (RecoveryObjective, completion_objective, grad_nll_completion,
-                            grad_nll_recovery, nll_completion, nll_recovery,
-                            quadratic_model, recovery_objective)
+from plr.objectives import (MIN_RATE_FLOOR, CompletionObjective, RecoveryObjective,
+                            completion_objective, quadratic_model, recovery_objective)
 from plr.sensing import (SensingEnsemble, apply_forward, build_sensing_ensemble,
                          sample_compressive_counts)
 from plr.solvers import SolverConfig, pmlsvt
@@ -25,19 +24,20 @@ def all_ones_ensemble(d1, d2):
 class TestNllCompletion:
     def test_arithmetic_examples(self):
         X = np.array([[1.0]])
-        assert nll_completion(single_obs(1), X) == pytest.approx(1.0)
-        assert nll_completion(single_obs(2), X) == pytest.approx(1.0)
+        for count in (1, 2):
+            f = CompletionObjective(single_obs(count), MIN_RATE_FLOOR)
+            assert f.value(X) == pytest.approx(1.0)
 
     def test_empty_sum(self):
         obs = CompletionObservations(rows=[], cols=[], counts=[], dims=(2, 2))
-        assert nll_completion(obs, np.ones((2, 2))) == 0.0
+        assert CompletionObjective(obs, MIN_RATE_FLOOR).value(np.ones((2, 2))) == 0.0
 
     def test_rate_floor_names_entry(self):
         obs = CompletionObservations(rows=[0, 1], cols=[0, 1], counts=[1, 1], dims=(2, 2))
         X = np.ones((2, 2))
         X[1, 1] = 0.5
         with pytest.raises(RateFloorError) as err:
-            nll_completion(obs, X, rate_floor=1.0)
+            CompletionObjective(obs, 1.0).value(X)
         assert err.value.index == (1, 1)
 
     def test_convexity_probe(self):
@@ -45,26 +45,27 @@ class TestNllCompletion:
         fset = FeasibleSet(alpha=30.0, beta=1.0)
         obs = CompletionObservations(rows=[0, 0, 1, 2], cols=[0, 2, 1, 0],
                                      counts=[4, 0, 9, 2], dims=(3, 3))
+        f = CompletionObjective(obs, MIN_RATE_FLOOR)
         for _ in range(50):
             U = rng.uniform(fset.beta, fset.alpha, (3, 3))
             V = rng.uniform(fset.beta, fset.alpha, (3, 3))
-            mid = nll_completion(obs, 0.5 * (U + V))
-            avg = 0.5 * (nll_completion(obs, U) + nll_completion(obs, V))
+            mid = f.value(0.5 * (U + V))
+            avg = 0.5 * (f.value(U) + f.value(V))
             assert mid <= avg + 1e-10 * max(abs(avg), 1.0)
 
 
 class TestGradCompletion:
     def test_matched_rate_is_stationary(self):
         obs = single_obs(5)
-        assert grad_nll_completion(obs, np.array([[5.0]]))[0, 0] == 0.0
+        assert CompletionObjective(obs, MIN_RATE_FLOOR).gradient(np.array([[5.0]]))[0, 0] == 0.0
 
     def test_zero_count_gradient_is_one(self):
         obs = single_obs(0)
-        assert grad_nll_completion(obs, np.array([[1.0]]))[0, 0] == 1.0
+        assert CompletionObjective(obs, MIN_RATE_FLOOR).gradient(np.array([[1.0]]))[0, 0] == 1.0
 
     def test_zero_off_support(self):
         obs = CompletionObservations(rows=[0], cols=[1], counts=[3], dims=(2, 3))
-        G = grad_nll_completion(obs, np.full((2, 3), 2.0))
+        G = CompletionObjective(obs, MIN_RATE_FLOOR).gradient(np.full((2, 3), 2.0))
         assert G[0, 1] != 0 and np.count_nonzero(G) == 1
 
     def test_matches_finite_differences(self):
@@ -76,8 +77,9 @@ class TestGradCompletion:
                                      counts=rng.poisson(8.0, rows.size),
                                      dims=(6, 5))
         X = rng.uniform(2.0, 20.0, (6, 5))
-        G = grad_nll_completion(obs, X)
-        Gfd = finite_difference_gradient(lambda Z: nll_completion(obs, Z), X)
+        f = CompletionObjective(obs, MIN_RATE_FLOOR)
+        G = f.gradient(X)
+        Gfd = finite_difference_gradient(f.value, X)
         assert np.linalg.norm(G - Gfd) <= 1e-5 * max(np.linalg.norm(G), 1.0)
 
 
@@ -86,26 +88,27 @@ class TestNllRecovery:
         # single all-ones mask (m=1), sum(X) = 2, y = 3: f = 2 - 3*log(2)
         ens = all_ones_ensemble(1, 2)
         X = np.array([[0.5, 1.5]])
-        got = nll_recovery(ens, np.array([3.0]), X)
+        got = RecoveryObjective(ens, np.array([3.0]), MIN_RATE_FLOOR).value(X)
         assert got == pytest.approx(2.0 - 3.0 * np.log(2.0))
 
     def test_zero_counts_leave_linear_term(self):
         ens = build_sensing_ensemble(3, 3, 5, 0.5, seed=3)
         X = seeded_rng(4).uniform(0.5, 2.0, (3, 3))
-        got = nll_recovery(ens, np.zeros(5), X)
+        got = RecoveryObjective(ens, np.zeros(5), MIN_RATE_FLOOR).value(X)
         assert got == pytest.approx(apply_forward(ens, X).sum())
 
     def test_zero_rate_zero_count_contributes_nothing(self):
         packed = np.zeros((1, 1), dtype=np.uint8)
         ens = SensingEnsemble(d1=2, d2=2, m=1, p=0.5, seed=0, packed=packed)
-        assert nll_recovery(ens, np.array([0.0]), np.ones((2, 2))) == 0.0
+        f = RecoveryObjective(ens, np.array([0.0]), MIN_RATE_FLOOR)
+        assert f.value(np.ones((2, 2))) == 0.0
 
     def test_positive_count_below_floor_raises(self):
         packed = np.zeros((2, 1), dtype=np.uint8)
         packed[0] = np.packbits(np.array([1, 1, 1, 1], dtype=np.uint8))[0]
         ens = SensingEnsemble(d1=2, d2=2, m=2, p=0.5, seed=0, packed=packed)
         with pytest.raises(RateFloorError) as err:
-            nll_recovery(ens, np.array([1.0, 2.0]), np.ones((2, 2)), rate_floor=1e-9)
+            RecoveryObjective(ens, np.array([1.0, 2.0]), 1e-9).value(np.ones((2, 2)))
         assert err.value.index == 1
 
     def test_convexity_probe(self):
@@ -113,11 +116,12 @@ class TestNllRecovery:
         ens = build_sensing_ensemble(4, 4, 8, 0.5, seed=31)
         M = rng.uniform(1.0, 8.0, (4, 4))
         y = rng.poisson(apply_forward(ens, M)).astype(float)
+        f = RecoveryObjective(ens, y, MIN_RATE_FLOOR)
         for _ in range(50):
             U = rng.uniform(0.5, 8.0, (4, 4))
             V = rng.uniform(0.5, 8.0, (4, 4))
-            mid = nll_recovery(ens, y, 0.5 * (U + V))
-            avg = 0.5 * (nll_recovery(ens, y, U) + nll_recovery(ens, y, V))
+            mid = f.value(0.5 * (U + V))
+            avg = 0.5 * (f.value(U) + f.value(V))
             assert mid <= avg + 1e-10 * max(abs(avg), 1.0)
 
 
@@ -126,13 +130,15 @@ class TestGradRecovery:
         ens = build_sensing_ensemble(3, 4, 6, 0.5, seed=5)
         X = seeded_rng(6).uniform(1.0, 3.0, (3, 4))
         y = apply_forward(ens, X)
-        assert np.allclose(grad_nll_recovery(ens, y, X), 0.0, atol=1e-12)
+        G = RecoveryObjective(ens, y, MIN_RATE_FLOOR).gradient(X)
+        assert np.allclose(G, 0.0, atol=1e-12)
 
     def test_zero_counts_give_mask_sum(self):
         ens = build_sensing_ensemble(3, 4, 6, 0.5, seed=7)
         X = np.ones((3, 4))
         want = sum(ens.mask_dense(i) for i in range(ens.m))
-        assert np.allclose(grad_nll_recovery(ens, np.zeros(6), X), want)
+        G = RecoveryObjective(ens, np.zeros(6), MIN_RATE_FLOOR).gradient(X)
+        assert np.allclose(G, want)
 
     def test_matches_finite_differences(self):
         rng = seeded_rng(8)
@@ -140,8 +146,9 @@ class TestGradRecovery:
         M = rng.uniform(2.0, 10.0, (4, 4))
         y = rng.poisson(apply_forward(ens, M)).astype(float)
         X = rng.uniform(2.0, 10.0, (4, 4))
-        G = grad_nll_recovery(ens, y, X)
-        Gfd = finite_difference_gradient(lambda Z: nll_recovery(ens, y, Z), X)
+        f = RecoveryObjective(ens, y, MIN_RATE_FLOOR)
+        G = f.gradient(X)
+        Gfd = finite_difference_gradient(f.value, X)
         assert np.linalg.norm(G - Gfd) <= 1e-5 * max(np.linalg.norm(G), 1.0)
 
 
@@ -154,10 +161,11 @@ class TestLipschitz:
         rows, cols = np.nonzero(np.ones((4, 4), dtype=bool))
         counts = np.minimum(rng.poisson(6.0, rows.size), int(fset.alpha))
         obs = CompletionObservations(rows=rows, cols=cols, counts=counts, dims=(4, 4))
+        f = CompletionObjective(obs, MIN_RATE_FLOOR)
         for _ in range(100):
             U = rng.uniform(fset.beta, fset.alpha, (4, 4))
             V = rng.uniform(fset.beta, fset.alpha, (4, 4))
-            dG = np.linalg.norm(grad_nll_completion(obs, U) - grad_nll_completion(obs, V))
+            dG = np.linalg.norm(f.gradient(U) - f.gradient(V))
             assert dG <= L * np.linalg.norm(U - V) + 1e-9
 
 
@@ -184,12 +192,12 @@ class TestQuadraticModel:
         rows, cols = np.nonzero(np.ones((4, 4), dtype=bool))
         counts = np.minimum(rng.poisson(5.0, rows.size), int(fset.alpha))
         obs = CompletionObservations(rows=rows, cols=cols, counts=counts, dims=(4, 4))
+        f = CompletionObjective(obs, MIN_RATE_FLOOR)
         for _ in range(100):
             Xp = rng.uniform(fset.beta, fset.alpha, (4, 4))
             X = rng.uniform(fset.beta, fset.alpha, (4, 4))
-            Q = quadratic_model(nll_completion(obs, Xp), grad_nll_completion(obs, Xp),
-                                X, Xp, L)
-            assert nll_completion(obs, X) <= Q + 1e-9
+            Q = quadratic_model(f.value(Xp), f.gradient(Xp), X, Xp, L)
+            assert f.value(X) <= Q + 1e-9
 
 
 class TestHandles:
@@ -207,12 +215,14 @@ class TestHandles:
         assert obj.kind == "recovery"
 
     def test_value_gradient_delegate(self):
-        fset = FeasibleSet(alpha=9.0, beta=1.0)
+        # both methods of a factory handle enforce its floor beta
+        fset = FeasibleSet(alpha=9.0, beta=2.0)
         obj = completion_objective(single_obs(4, dims=(2, 2)), fset)
-        X = np.full((2, 2), 2.0)
-        assert obj.value(X) == pytest.approx(nll_completion(single_obs(4, dims=(2, 2)), X))
-        assert np.array_equal(obj.gradient(X),
-                              grad_nll_completion(single_obs(4, dims=(2, 2)), X))
+        for method in (obj.value, obj.gradient):
+            method(np.full((2, 2), 2.0))  # at the floor: accepted
+            with pytest.raises(RateFloorError) as err:
+                method(np.full((2, 2), 1.5))
+            assert err.value.index == (0, 0)
 
 
 def count_calls(monkeypatch, module, name):
@@ -253,9 +263,10 @@ class TestRecoveryRateCache:
     def test_gradient_after_value_is_bitwise_uncached(self):
         ens, y, fset, X = self.problem()
         obj = recovery_objective(ens, y, fset)
-        assert obj.value(X) == nll_recovery(ens, y, X, obj.rate_floor)
+        assert obj.value(X) == RecoveryObjective(ens, y, obj.rate_floor).value(X)
         G = obj.gradient(X)
-        assert G.tobytes() == grad_nll_recovery(ens, y, X, obj.rate_floor).tobytes()
+        want = RecoveryObjective(ens, y, obj.rate_floor).gradient(X)
+        assert G.tobytes() == want.tobytes()
 
     def test_in_place_change_is_not_served_stale_rates(self):
         ens, y, fset, X = self.problem()
@@ -264,7 +275,8 @@ class TestRecoveryRateCache:
         obj.value(X)
         X[2, 1] += 0.5
         G = obj.gradient(X)
-        assert G.tobytes() == grad_nll_recovery(ens, y, X, obj.rate_floor).tobytes()
+        want = RecoveryObjective(ens, y, obj.rate_floor).gradient(X)
+        assert G.tobytes() == want.tobytes()
         assert not np.array_equal(G, G_old)
 
     @pytest.mark.parametrize("first", ["value", "gradient"])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from plr.core import CompletionObservations, FeasibleSet, RateFloorError, seeded_rng
-from plr.objectives import (CompletionObjective, completion_objective, grad_nll_recovery,
-                            nll_recovery, recovery_objective)
+from plr.objectives import (CompletionObjective, RecoveryObjective, completion_objective,
+                            recovery_objective)
 from plr.projections import positive_rescale
 from plr.sensing import apply_adjoint, build_sensing_ensemble, sample_compressive_counts
 from plr.solvers import (SolverAbort, SolverConfig, accelerated_proximal_gradient,
@@ -345,10 +345,10 @@ class UncachedRecovery:
         self.ensemble, self.y, self.rate_floor = obj.ensemble, obj.y, obj.rate_floor
 
     def value(self, X):
-        return nll_recovery(self.ensemble, self.y, X, self.rate_floor)
+        return RecoveryObjective(self.ensemble, self.y, self.rate_floor).value(X)
 
     def gradient(self, X):
-        return grad_nll_recovery(self.ensemble, self.y, X, self.rate_floor)
+        return RecoveryObjective(self.ensemble, self.y, self.rate_floor).gradient(X)
 
 
 def test_recovery_rate_cache_leaves_pmlsvt_results_unchanged():

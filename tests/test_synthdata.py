@@ -230,6 +230,17 @@ class TestPgm:
         assert solar.shape == (48, 48) and phantom.shape == (16, 16)
         assert solar.max() <= 255 and solar.min() >= 0
 
+    @pytest.mark.parametrize("text,message", [
+        ("P2\n2 x\n255\n0 0\n0 0\n", "line 2: expected an integer, got 'x'"),
+        ("P2\n2 2\n255\n0 0\n0 1.5\n", "line 5: expected an integer, got '1.5'"),
+        ("P2\n2 2\n255 # max\n0 0\n# row 2\n0 256\n", "line 6: pixel 256 outside [0, 255]")])
+    def test_errors_name_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.pgm"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_pgm(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_text("P5\n2 2\n255\n0 0 0 0\n")
