@@ -20,8 +20,6 @@ import os
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,14 +258,28 @@ class ExperimentConfig:
 # Problem construction
 # ---------------------------------------------------------------------------
 
-def build_ground_truth(ec, rho=None):
+def build_ground_truth(ec, rho=None, source=None):
     """Materialize (M, observed_mask) from the configured source.
 
     ``rho`` scales the intensity; for completion the scaled matrix is clamped
     back into the entry box.  ``observed_mask`` is non-None only for the
     counts source, where M is a count realization rather than an intensity.
+    ``source`` is :func:`ground_truth_source`'s result, read here if None.
     """
     rho = ec.rho if rho is None else rho
+    M, mask = ground_truth_source(ec) if source is None else source
+    if rho != 1.0:
+        M = rho * M
+    if ec.total_intensity is not None:
+        M = positive_rescale(M, rho * ec.total_intensity)
+    if ec.mode == "completion" and ec.source != "counts":
+        M = np.clip(M, ec.beta, ec.alpha)
+    return M, mask
+
+
+def ground_truth_source(ec):
+    """(M, observed_mask) as the configured source gives them, before any
+    rho scaling, rescale or clamp; see :func:`build_ground_truth`."""
     mask = None
     if ec.source == "synthetic":
         fset = FeasibleSet(alpha=ec.alpha, beta=ec.beta,
@@ -287,12 +299,6 @@ def build_ground_truth(ec, rho=None):
             M = np.maximum(rank_l_approx(M, ec.trunc_rank), 0.0)
     else:  # counts
         M, mask = load_count_csv(ec.counts_file)
-    if rho != 1.0:
-        M = rho * M
-    if ec.total_intensity is not None:
-        M = positive_rescale(M, rho * ec.total_intensity)
-    if ec.mode == "completion" and ec.source != "counts":
-        M = np.clip(M, ec.beta, ec.alpha)
     return M, mask
 
 
@@ -376,13 +382,32 @@ def recovery_counts(ec, M, seed, ensemble):
     if (ensemble.d1, ensemble.d2) != M.shape:
         raise ConfigError(f"ensemble shape {(ensemble.d1, ensemble.d2)} != matrix {M.shape}")
     if ec.y_file is not None:
-        counts = np.loadtxt(ec.y_file, dtype=np.int64, ndmin=1)
-        y = CompressiveObservations(counts=counts)
+        y = CompressiveObservations(counts=_load_y_file(ec.y_file))
         if len(y) != ensemble.m:
-            raise ConfigError(f"y has {len(y)} counts but ensemble has m={ensemble.m}")
+            raise ConfigError(
+                f"{ec.y_file}: {len(y)} counts, but the ensemble has m={ensemble.m}")
     else:
         y = sample_compressive_counts(ensemble, M, seed + COUNT_SEED_OFFSET)
     return y
+
+
+def _load_y_file(path):
+    """The counts of a y_file, one integer per line; blank lines and ``#``
+    comments are skipped.  A bad line raises ValueError naming it (1-based)."""
+    counts = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                y = int(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not 0 <= y < 2**63:
+                raise ValueError(f"{path}: line {lineno}: count {y} outside [0, 2**63)")
+            counts.append(y)
+    return np.array(counts, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +547,15 @@ def _read_only(*arrays):
     return arrays
 
 
-def cmd_sweep(ec, out_dir, threads=1):
+def cmd_sweep(ec, out_dir):
     """Run trials at every sweep value; write value,mean,std rows sorted by value.
 
-    The ground truth is built once per distinct rho, before the points run,
-    and is read-only.  Points run trial by trial.  A recovery trial's points
-    share one mask set, drawn and unpacked by this thread before they start
-    and dropped before the next trial's; an m sweep's points draw their own,
-    and a fixed ensemble_file/ensemble_meta is read once for the sweep.
+    The source matrix is read once and a read-only ground truth is built from
+    it per distinct rho, before the points run.  Points run trial by trial,
+    in order on this thread.  A recovery trial's points share one mask set,
+    drawn before they start and dropped before the next trial's; an m sweep's
+    points draw their own, and a fixed ensemble_file/ensemble_meta is read
+    once for the sweep.
     """
     ec.validate(need_sweep=True)
     os.makedirs(out_dir, exist_ok=True)
@@ -539,26 +565,24 @@ def cmd_sweep(ec, out_dir, threads=1):
     cleared = {"p_obs": None} if ec.sweep_axis == "m" else {}
     configs = [dataclasses.replace(ec, **{_AXIS_FIELDS[ec.sweep_axis]: value}, **cleared)
                for value in values]
-    rhos = list(dict.fromkeys(pc.rho for pc in configs))
+    source = ground_truth_source(ec)
+    truths = {}
+    for pc in configs:
+        if pc.rho not in truths:
+            truths[pc.rho] = _read_only(*build_ground_truth(ec, pc.rho, source))
+    del source
+    shape = truths[configs[0].rho][0].shape
+    fixed = None
+    if ec.ensemble_file or ec.ensemble_meta:  # recovery only, see validate
+        fixed = recovery_ensemble(ec, *shape, ec.obs_seed)
     errs = []
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        truths = dict(zip(rhos, run(lambda rho: _read_only(*build_ground_truth(ec, rho=rho)),
-                                    rhos)))
-        shape = truths[rhos[0]][0].shape
-        fixed = None
-        if ec.ensemble_file or ec.ensemble_meta:  # recovery only, see validate
-            fixed = recovery_ensemble(ec, *shape, ec.obs_seed)
-        for trial in range(ec.trials):
-            ensemble = fixed
-            if ensemble is None and ec.mode == "recovery" and ec.sweep_axis != "m":
-                ensemble = recovery_ensemble(ec, *shape, ec.obs_seed + trial)
-            if ensemble is not None:
-                # unpacked by this thread, so the points only read the cached matrix
-                ensemble.indicator_matrix()
-            errs.append(list(run(lambda pv: _sweep_point(*pv, trial, truths, ensemble),
-                                 zip(configs, values))))
-            del ensemble  # before the next trial's masks are drawn
+    for trial in range(ec.trials):
+        ensemble = fixed
+        if ensemble is None and ec.mode == "recovery" and ec.sweep_axis != "m":
+            ensemble = recovery_ensemble(ec, *shape, ec.obs_seed + trial)
+        errs.append([_sweep_point(pc, value, trial, truths, ensemble)
+                     for pc, value in zip(configs, values)])
+        del ensemble  # before the next trial's masks are drawn
     errs = np.array(errs)
     lines = ["value,mean,std"]
     for value, chunk in zip(values, errs.T):
@@ -568,7 +592,10 @@ def cmd_sweep(ec, out_dir, threads=1):
 
 
 def _thread_count(flag):
-    """Sweep workers from --threads, else PLR_THREADS, else 1."""
+    """--threads, else PLR_THREADS, else 1, checked to be a positive integer.
+
+    No sweep reads it: every sweep runs its points in order on one thread.
+    """
     if flag is not None:
         name, raw = "--threads", flag
     else:
@@ -595,7 +622,8 @@ def main(argv=None):
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--threads", type=int, default=None,
-                        help="parallel sweep workers (default: PLR_THREADS or 1)")
+                        help="checked, then unused: sweep points run in order on one "
+                             "thread (default: PLR_THREADS or 1)")
         if name == "synth":
             sp.add_argument("--regen-from-seed", action="store_true",
                             help="record ensemble parameters instead of mask bits")
@@ -607,7 +635,8 @@ def main(argv=None):
             return cmd_synth(ec, args.out, regen_from_seed=args.regen_from_seed)
         if args.command == "solve":
             return cmd_solve(ec, args.out)
-        return cmd_sweep(ec, args.out, threads=_thread_count(args.threads))
+        _thread_count(args.threads)
+        return cmd_sweep(ec, args.out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"plr {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -384,6 +384,59 @@ class TestSweepSharing:
         assert (tmp_path / "s8" / "sweep.csv").read_bytes() == \
             (tmp_path / "s1" / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize("source,reader", [("image", "read_pgm"),
+                                               ("synthetic", "gen_exact_low_rank")])
+    def test_reads_the_source_once(self, tmp_path, monkeypatch, data_dir, source, reader):
+        if source == "image":  # recovery: each truth is rescaled to rho * total_intensity
+            text = ("mode = recover\nsource = image\n"
+                    f"image_file = {data_dir}/phantom16.pgm\n"
+                    "patch_h = 4\npatch_w = 4\ntrunc_rank = 3\ntotal_intensity = 1e4\n"
+                    "m = 40\np = 0.5\nseed = 3\nmax_iter = 5\nlambda = 0.01\n")
+        else:  # completion: each truth is clamped into the box
+            text = COMPLETION_CFG.replace("max_iter = 200", "max_iter = 5")
+        cfg = write_cfg(tmp_path, text + "sweep_axis = rho\nsweep_values = 8,1,4,2\ntrials = 1\n")
+        ec = ExperimentConfig.from_file(cfg)
+        want = {rho: plr.cli.build_ground_truth(ec, rho)[0].tobytes() for rho in (1, 2, 4, 8)}
+        reads = counting(monkeypatch, reader)
+        got = {}
+        original = plr.cli.run_single_solve
+
+        def recording_solve(ec, M, mask, seed, ensemble=None):
+            got[ec.rho] = M.tobytes()
+            return original(ec, M, mask, seed, ensemble=ensemble)
+
+        monkeypatch.setattr(plr.cli, "run_single_solve", recording_solve)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--threads", "2"]) == 0
+        assert len(reads) == 1
+        assert got == want
+
+    @pytest.mark.parametrize("mode,axis", [("recovery", axis) for axis in sorted(SHARING_CASES)] +
+                             [("completion", axis) for axis in sorted(COMPLETION_SWEEPS)])
+    def test_where_points_run(self, tmp_path, monkeypatch, mode, axis):
+        if mode == "recovery":
+            fixed, lines = SHARING_CASES[axis][:2]
+            text = RECOVERY_CFG.replace("max_iter = 150", "max_iter = 10").replace(fixed, "")
+        else:
+            fixed, extra, values = COMPLETION_SWEEPS[axis]
+            text = re.sub(rf"^{fixed} = .*\n", "",
+                          COMPLETION_CFG.replace("max_iter = 200", "max_iter = 10"), flags=re.M)
+            lines = extra + f"sweep_axis = {axis}\nsweep_values = {values}\ntrials = 2\n"
+        cfg = write_cfg(tmp_path, text + lines)
+        threads = []
+        original = plr.cli.run_single_solve
+
+        def recording_solve(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(plr.cli, "run_single_solve", recording_solve)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--threads", "2"]) == 0
+        assert len(threads) >= 4
+        # every sweep runs its points on the calling thread, at any --threads
+        assert all(thread is threading.main_thread() for thread in threads)
+
     def test_fixed_ensemble_file_is_read_once(self, tmp_path, monkeypatch):
         main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
               "--out", str(tmp_path / "full")])
@@ -514,6 +567,26 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert str(meta) in err and "lacks key 'p'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: lines[:2] + ["2.5"] + lines[3:],
+         "y.csv: line 3: invalid literal for int() with base 10: '2.5'"),
+        (lambda lines: lines[:2] + ["-4"] + lines[3:], "y.csv: line 3: count -4 outside"),
+        (lambda lines: lines[:-1], "y.csv: 39 counts, but the ensemble has m=40")],
+        ids=["fractional", "negative", "short"])
+    def test_bad_y_file_exits_2_naming_its_line(self, tmp_path, capsys, edit, message):
+        main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
+              "--out", str(tmp_path / "full")])
+        y_file = tmp_path / "full" / "y.csv"
+        y_file.write_text("\n".join(edit(y_file.read_text().splitlines())) + "\n")
+        cfg = write_cfg(tmp_path, (
+            "mode = recover\nsource = matrix\n"
+            f"matrix_file = {tmp_path / 'full' / 'M.csv'}\n"
+            f"y_file = {y_file}\nensemble_file = {tmp_path / 'full' / 'ensemble.bin'}\n"
+            "alpha = 30\nbeta = 1\nrank_budget = 2\nmax_iter = 10\n"), name="y.cfg")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'full'}{os.sep}{message}" in err and "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "x")]) == 2
@@ -596,6 +669,18 @@ class TestErrorPaths:
                      "--threads", threads]) == 2
         assert f"--threads must be a positive integer, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "x" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag,env,named", [(["--threads", "0"], None, "--threads"),
+                                                ([], "abc", "PLR_THREADS")], ids=["flag", "env"])
+    def test_bad_threads_exit_2_on_a_recovery_sweep(self, tmp_path, capsys, monkeypatch,
+                                                    flag, env, named):
+        # no sweep reads the thread count, but every sweep validates it
+        if env is not None:
+            monkeypatch.setenv("PLR_THREADS", env)
+        cfg = write_cfg(tmp_path, RECOVERY_CFG + "sweep_axis = rho\nsweep_values = 1\ntrials = 1\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x"), *flag]) == 2
+        assert f"{named} must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_env_threads_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLR_THREADS", "2")
