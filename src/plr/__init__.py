@@ -42,7 +42,6 @@ from .objectives import (
     recovery_objective,
 )
 from .projections import (
-    SvdFactors,
     alternating_project,
     positive_rescale,
     project_box,

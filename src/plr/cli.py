@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (CompletionObservations, CompressiveObservations, FeasibleSet,
-                   load_dense_csv, load_observations_csv, save_dense_csv,
-                   save_observations_csv, seeded_rng)
+                   _numbered_lines, _parse, load_dense_csv, load_observations_csv,
+                   save_dense_csv, save_observations_csv, seeded_rng)
 # the cmd_* functions write their text files through this module-level name
 from .core import _atomic_write as _atomic_write_text
 from .metrics import hellinger_matrix, kl_matrix, squared_error
@@ -65,24 +65,16 @@ class ConfigError(ValueError):
 def parse_config(path):
     """Read a flat key = value file into a dict of strings."""
     cfg = {}
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not key or not val:
-                raise ConfigError(f"{path}: line {lineno}: empty key or value")
-            if key in cfg:
-                raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
-            cfg[key] = val
+    for lineno, line in _numbered_lines(path, "#"):
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not key or not val:
+            raise ConfigError(f"{path}: line {lineno}: empty key or value")
+        if key in cfg:
+            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
+        cfg[key] = val
     return cfg
 
 
@@ -361,14 +353,20 @@ def recovery_ensemble(ec, d1, d2, seed):
     if ec.ensemble_file is not None:
         ensemble = load_ensemble(ec.ensemble_file)
     elif ec.ensemble_meta is not None:
-        meta = parse_config(ec.ensemble_meta)
+        path = ec.ensemble_meta
+        meta = parse_config(path)
+        args = []
+        for key, kind in (("d1", int), ("d2", int), ("m", int), ("p", float), ("seed", int)):
+            if key not in meta:
+                raise ConfigError(f"{path}: lacks key {key!r}")
+            try:
+                args.append(kind(meta[key]))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: key {key!r}: {exc}") from None
         try:
-            args = (int(meta["d1"]), int(meta["d2"]), int(meta["m"]),
-                    float(meta["p"]), int(meta["seed"]))
-        except KeyError as exc:
-            raise ConfigError(
-                f"ensemble_meta {ec.ensemble_meta!r} lacks key {exc.args[0]!r}") from None
-        ensemble = build_sensing_ensemble(*args)
+            ensemble = build_sensing_ensemble(*args)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     else:
         m = int(ec.m or 0)
         if m < 1:
@@ -395,18 +393,11 @@ def _load_y_file(path):
     """The counts of a y_file, one integer per line; blank lines and ``#``
     comments are skipped.  A bad line raises ValueError naming it (1-based)."""
     counts = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                y = int(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not 0 <= y < 2**63:
-                raise ValueError(f"{path}: line {lineno}: count {y} outside [0, 2**63)")
-            counts.append(y)
+    for lineno, line in _numbered_lines(path, "#"):
+        y = _parse(int, line, path, lineno)
+        if not 0 <= y < 2**63:
+            raise ValueError(f"{path}: line {lineno}: count {y} outside [0, 2**63)")
+        counts.append(y)
     return np.array(counts, dtype=np.int64)
 
 

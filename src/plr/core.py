@@ -279,6 +279,8 @@ def seeded_rng(seed):
 # File formats.
 # Dense matrices: CSV, one row per line, '.' decimal, no header.
 # Sparse observations: CSV triplets with header `row,col,count`, 1-based.
+# Every text input is read through _numbered_lines, so its errors read
+# `path: line N: ...` with N 1-based.
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path, *chunks):
@@ -300,6 +302,65 @@ def _atomic_write(path, *chunks):
         raise
 
 
+def _numbered_lines(path, comment=None):
+    """Yield ``(line number, text)`` for each non-blank line of a UTF-8 text
+    file: numbers are 1-based, text is stripped and cut at ``comment``.  A
+    line that is not UTF-8 raises ``ValueError`` as ``path: line N: ...``."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
+            if comment is not None:
+                line = line.split(comment, 1)[0]
+            line = line.strip()
+            if line:
+                yield lineno, line
+
+
+def _parse(convert, token, path, lineno):
+    """``convert(token)``, with a ``ValueError`` re-raised as ``path: line N: ...``."""
+    try:
+        return convert(token)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+
+def _read_triplets(path, dims=None):
+    """Read 1-based ``i,j,count`` rows into 0-based int64 arrays.
+
+    A first line whose first field is not an integer is a header.  Each other
+    line has three integer fields, a cell inside ``dims`` (else indices >= 1),
+    a nonnegative int64 count and a cell no earlier line gave.  Returns
+    ``(rows, cols, counts, header)``, with ``header`` None when there is none.
+    """
+    header, triplets, seen = None, [], set()
+    for lineno, line in _numbered_lines(path):
+        toks = line.split(",")
+        if lineno == 1 and not toks[0].strip().lstrip("-").isdigit():
+            header = line
+            continue
+        if len(toks) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(toks)}")
+        i, j, y = (_parse(int, tok, path, lineno) for tok in toks)
+        if dims is not None and not (1 <= i <= dims[0] and 1 <= j <= dims[1]):
+            raise ValueError(f"{path}: line {lineno}: cell ({i}, {j}) outside the "
+                             f"{dims[0]}x{dims[1]} matrix")
+        if i < 1 or j < 1:
+            raise ValueError(f"{path}: line {lineno}: indices are 1-based")
+        if y < 0:
+            raise ValueError(f"{path}: line {lineno}: negative count {y}")
+        if y >= 2**63:
+            raise ValueError(f"{path}: line {lineno}: count {y} above the int64 range")
+        if (i, j) in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate cell ({i}, {j})")
+        seen.add((i, j))
+        triplets.append((i - 1, j - 1, y))
+    rows, cols, counts = np.array(triplets, dtype=np.int64).reshape(-1, 3).T
+    return rows, cols, counts, header
+
+
 def save_dense_csv(path, X):
     """Write a dense matrix as header-less CSV; floats round-trip exactly."""
     X = as_matrix(X)
@@ -310,24 +371,14 @@ def save_dense_csv(path, X):
 def load_dense_csv(path):
     """Read a dense header-less CSV matrix written by :func:`save_dense_csv`."""
     rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"{path}: line {lineno}: non-finite entry")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
-            rows.append(row)
+    for lineno, line in _numbered_lines(path):
+        row = _parse(lambda text: [float(tok) for tok in text.split(",")], line, path, lineno)
+        if not all(math.isfinite(v) for v in row):
+            raise ValueError(f"{path}: line {lineno}: non-finite entry")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(row)}")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
     return np.array(rows)
@@ -343,39 +394,9 @@ def save_observations_csv(path, obs):
 
 def load_observations_csv(path, dims, sample_prob=1.0):
     """Read `row,col,count` triplets (1-based) into CompletionObservations."""
-    d1, d2 = dims
-    rows, cols, counts = [], [], []
-    seen = set()
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "row,col,count":
-            raise ValueError(f"{path}: line 1: expected header 'row,col,count', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split(",")
-            if len(toks) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(toks)}")
-            try:
-                i, j, y = int(toks[0]), int(toks[1]), int(toks[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not (1 <= i <= d1 and 1 <= j <= d2):
-                raise ValueError(
-                    f"{path}: line {lineno}: cell ({i}, {j}) outside the {d1}x{d2} matrix")
-            if y < 0:
-                raise ValueError(f"{path}: line {lineno}: negative count {y}")
-            if (i, j) in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate cell ({i}, {j})")
-            seen.add((i, j))
-            rows.append(i - 1)
-            cols.append(j - 1)
-            counts.append(y)
-    return CompletionObservations(
-        rows=np.array(rows, dtype=np.int64),
-        cols=np.array(cols, dtype=np.int64),
-        counts=np.array(counts, dtype=np.int64),
-        dims=tuple(dims),
-        sample_prob=sample_prob,
-    )
+    rows, cols, counts, header = _read_triplets(path, dims)
+    if header != "row,col,count":
+        got = "no header" if header is None else repr(header)
+        raise ValueError(f"{path}: line 1: expected header 'row,col,count', got {got}")
+    return CompletionObservations(rows=rows, cols=cols, counts=counts,
+                                  dims=tuple(dims), sample_prob=sample_prob)

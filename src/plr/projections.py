@@ -11,39 +11,16 @@ import numpy as np
 from .core import DegenerateInputError, as_matrix
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD with a deterministic sign convention.
-
-    U has orthonormal columns (d1 x d), V likewise (d2 x d), singular values
-    are sorted nonincreasing.  The largest-magnitude entry of each left
-    singular vector is forced nonnegative so factors are reproducible across
-    backends; every thresholding result is invariant to this choice.
-    """
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
-
-    def compose(self, values=None):
-        s = self.singular_values if values is None else values
-        return (self.U * s) @ self.V.T
-
-
 def svd_factors(X):
-    """Thin SVD of ``X`` as :class:`SvdFactors` with fixed signs."""
+    """Thin SVD ``(U, s, Vt)`` of ``X``, singular values ``s`` nonincreasing;
+    a failure names the matrix's shape and largest entry."""
     X = as_matrix(X)
     try:
-        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        return np.linalg.svd(X, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"SVD failed on a {X.shape[0]}x{X.shape[1]} matrix "
             f"(|X|_max={np.abs(X).max():.3e}): {exc}") from exc
-    V = Vt.T
-    flip = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])] < 0
-    U = np.where(flip, -U, U)
-    V = np.where(flip, -V, V)
-    return SvdFactors(U=U, singular_values=s, V=V)
 
 
 def project_box(X, alpha, beta):
@@ -91,10 +68,10 @@ def project_nuclear_ball(X, radius):
     ``X`` itself when it is already inside the ball.
     """
     X = as_matrix(X)
-    fac = svd_factors(X)
-    if fac.singular_values.sum() <= radius:
+    U, s, Vt = svd_factors(X)
+    if s.sum() <= radius:
         return X.copy()
-    return fac.compose(project_l1_ball(fac.singular_values, radius))
+    return (U * project_l1_ball(s, radius)) @ Vt
 
 
 def positive_rescale(Z, total_intensity):
@@ -122,8 +99,8 @@ def svt(Z, tau):
     Z = as_matrix(Z)
     if tau == 0:
         return Z.copy()
-    fac = svd_factors(Z)
-    return fac.compose(np.maximum(fac.singular_values - tau, 0.0))
+    U, s, Vt = svd_factors(Z)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
 @dataclass

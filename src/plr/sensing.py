@@ -45,6 +45,18 @@ class SensingEnsemble:
     packed: np.ndarray
     _dense: np.ndarray = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.d1 < 1 or self.d2 < 1:
+            raise ValueError(f"need at least one matrix entry, got {self.d1}x{self.d2}")
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if not 0 < self.p < 1:
+            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+        rows = (self.m, (self.d1 * self.d2 + 7) // 8)
+        if self.packed.shape != rows:
+            raise ShapeMismatchError(f"packed masks have shape {self.packed.shape}, "
+                                     f"expected {rows}")
+
     @property
     def xi_p(self):
         return xi_p_value(self.p)
@@ -70,12 +82,6 @@ class SensingEnsemble:
 
 def build_sensing_ensemble(d1, d2, m, p, seed):
     """Draw an ensemble: each entry of each mask is 0 w.p. p, 1/m w.p. 1-p."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if d1 * d2 < 1:
-        raise ValueError(f"need at least one matrix entry, got {d1}x{d2}")
-    if not 0 < p < 1:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
     rng = seeded_rng(seed)
     bits = rng.random((m, d1 * d2)) >= p
     packed = np.packbits(bits, axis=1)
@@ -156,16 +162,22 @@ def save_ensemble(path, ensemble):
 
 
 def load_ensemble(path):
-    """Load an ensemble written by :func:`save_ensemble`."""
+    """Load an ensemble written by :func:`save_ensemble`.  A short file, or a
+    header the ensemble rejects, raises ``ValueError`` naming ``path`` (and
+    the byte offset of the short part)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated ensemble header")
+            raise ValueError(
+                f"{path}: byte 0: expected {_HEADER.size} header bytes, got {len(header)}")
         d1, d2, m, p, seed = _HEADER.unpack(header)
         row_bytes = (d1 * d2 + 7) // 8
         body = fh.read()
     if len(body) != m * row_bytes:
-        raise ValueError(f"{path}: expected {m * row_bytes} mask bytes, got {len(body)}")
-    packed = np.frombuffer(body, dtype=np.uint8).reshape(m, row_bytes)
-    return SensingEnsemble(d1=int(d1), d2=int(d2), m=int(m), p=float(p),
-                           seed=int(seed), packed=packed)
+        raise ValueError(f"{path}: byte {_HEADER.size}: expected {m * row_bytes} mask bytes, "
+                         f"got {len(body)}")
+    try:
+        packed = np.frombuffer(body, dtype=np.uint8).reshape(m, row_bytes)
+        return SensingEnsemble(d1=d1, d2=d2, m=m, p=p, seed=seed, packed=packed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

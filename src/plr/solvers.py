@@ -207,10 +207,9 @@ def pmlsvt(obj, fset, X0=None, config=None, feasible_map=None):
             raise SolverAbort(f"objective domain error: {exc}", X, trace) from exc
         while True:
             C = X - G / t
-            fac = svd_factors(C)
+            U, s, Vt = svd_factors(C)
             try:
-                X_new = feasible_map(
-                    fac.compose(np.maximum(fac.singular_values - lam / t, 0.0)))
+                X_new = feasible_map((U * np.maximum(s - lam / t, 0.0)) @ Vt)
                 f_new = obj.value(X_new)
                 Q = quadratic_model(f_cur, G, X_new, X, t)
             except (RateFloorError, DegenerateInputError):

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompletionObservations, _atomic_write, as_matrix, seeded_rng
+from .core import (CompletionObservations, _atomic_write, _numbered_lines, _parse,
+                   _read_triplets, as_matrix, seeded_rng)
 from .projections import positive_rescale, svd_factors
 
 
@@ -133,10 +134,9 @@ def rank_l_approx(X, ell):
     d = min(X.shape)
     if not 1 <= ell <= d:
         raise ValueError(f"ell must lie in [1, {d}], got {ell}")
-    fac = svd_factors(X)
-    trunc = fac.singular_values.copy()
-    trunc[ell:] = 0.0
-    return fac.compose(trunc)
+    U, s, Vt = svd_factors(X)
+    s[ell:] = 0.0
+    return (U * s) @ Vt
 
 
 def sample_completion_observations(M, m_expected, seed):
@@ -182,20 +182,6 @@ def patch_matrix_to_image(matrix, layout):
     return blocks.transpose(2, 0, 3, 1).reshape(H, W)
 
 
-def counts_to_matrix(first_idx, second_idx, counts, dims=None):
-    """Scatter 1-based (i, j, count) triplets into a dense matrix plus mask."""
-    first_idx = np.asarray(first_idx, dtype=np.int64)
-    second_idx = np.asarray(second_idx, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.float64)
-    if dims is None:
-        dims = (int(first_idx.max()), int(second_idx.max()))
-    M = np.zeros(dims)
-    observed = np.zeros(dims, dtype=bool)
-    M[first_idx - 1, second_idx - 1] = counts
-    observed[first_idx - 1, second_idx - 1] = True
-    return M, observed
-
-
 def load_count_csv(path):
     """Load (hour, day, count) CSV rows into a dense hours-by-days matrix.
 
@@ -204,61 +190,51 @@ def load_count_csv(path):
     zero in the matrix and False in the mask.  Duplicate (hour, day) rows and
     malformed lines raise with the offending line number.
     """
-    hours, days, counts = [], [], []
-    seen = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split(",")
-            if lineno == 1 and not toks[0].strip().lstrip("-").isdigit():
-                continue  # header
-            if len(toks) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(toks)}")
-            try:
-                h, d, c = int(toks[0]), int(toks[1]), int(toks[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if h < 1 or d < 1:
-                raise ValueError(f"{path}: line {lineno}: indices are 1-based")
-            if c < 0:
-                raise ValueError(f"{path}: line {lineno}: negative count")
-            if (h, d) in seen:
-                raise ValueError(f"{path}: line {lineno}: duplicate cell ({h}, {d})")
-            seen.add((h, d))
-            hours.append(h)
-            days.append(d)
-            counts.append(c)
-    if not hours:
+    hours, days, counts, _ = _read_triplets(path)
+    if not hours.size:
         raise ValueError(f"{path}: no count rows")
-    return counts_to_matrix(np.array(hours), np.array(days), np.array(counts))
+    dims = (int(hours.max()) + 1, int(days.max()) + 1)
+    M = np.zeros(dims)
+    observed = np.zeros(dims, dtype=bool)
+    M[hours, days] = counts
+    observed[hours, days] = True
+    return M, observed
+
+
+def _pgm_integers(tokens):
+    """The integers ``tokens`` spell; a token that is not one raises ValueError."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"expected an integer, got {tok!r}") from None
+    return values
 
 
 def read_pgm(path):
     """Read an ASCII (P2) PGM image as a float matrix."""
-    with open(path) as fh:
-        tokens = [(lineno, tok) for lineno, line in enumerate(fh, start=1)
-                  for tok in line.split("#", 1)[0].split()]
-    if not tokens or tokens[0][1] != "P2":
+    magic, values, linenos = None, [], []  # the integers after the magic number
+    for lineno, line in _numbered_lines(path, "#"):
+        tokens = line.split()
+        if magic is None:
+            magic, tokens = tokens[0], tokens[1:]
+            if magic != "P2":
+                break
+        values += _parse(_pgm_integers, tokens, path, lineno)
+        linenos += [lineno] * (len(values) - len(linenos))
+    if magic != "P2":
         raise ValueError(f"{path}: not an ASCII PGM (P2) file")
-    if len(tokens) < 4:
+    if len(values) < 3:
         raise ValueError(f"{path}: truncated PGM header")
-
-    def integer(lineno, tok):
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: expected an integer, got {tok!r}") from None
-
-    width, height, maxval = (integer(*t) for t in tokens[1:4])
-    pixels = np.array([integer(*t) for t in tokens[4:]], dtype=np.float64)
+    width, height, maxval = values[:3]
+    pixels = np.array(values[3:], dtype=np.float64)
     if pixels.size != width * height:
         raise ValueError(f"{path}: expected {width * height} pixels, got {pixels.size}")
     outside = (pixels < 0) | (pixels > maxval)
     if outside.any():
-        lineno, tok = tokens[4 + int(np.argmax(outside))]
-        raise ValueError(f"{path}: line {lineno}: pixel {tok} outside [0, {maxval}]")
+        k = 3 + int(np.argmax(outside))
+        raise ValueError(f"{path}: line {linenos[k]}: pixel {values[k]} outside [0, {maxval}]")
     return pixels.reshape(height, width)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import struct
 import subprocess
 import sys
 import threading
@@ -557,7 +558,8 @@ class TestErrorPaths:
         main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
               "--out", str(tmp_path / "lean"), "--regen-from-seed"])
         meta = tmp_path / "lean" / "ensemble.meta"
-        meta.write_text(re.sub(r"^p = .*\n", "", meta.read_text(), flags=re.M))
+        good = meta.read_text()
+        meta.write_text(re.sub(r"^p = .*\n", "", good, flags=re.M))
         cfg = write_cfg(tmp_path, (
             "mode = recover\nsource = matrix\n"
             f"matrix_file = {tmp_path / 'lean' / 'M.csv'}\n"
@@ -566,6 +568,31 @@ class TestErrorPaths:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert str(meta) in err and "lacks key 'p'" in err and "Traceback" not in err
+        for key, value, message in [
+                ("d2", "x", "key 'd2': invalid literal for int() with base 10: 'x'"),
+                ("m", "0", "m must be >= 1, got 0")]:
+            meta.write_text(re.sub(rf"^{key} = .*\n", f"{key} = {value}\n", good, flags=re.M))
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert f"{meta}: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("m,p,body,message", [
+        (0, 0.5, b"", "m must be >= 1, got 0"),
+        (1, float("nan"), b"\x00" * 4, "p must lie in (0, 1), got nan")],
+        ids=["m_0", "p_nan"])
+    def test_rejected_ensemble_file_exits_2(self, tmp_path, capsys, m, p, body, message):
+        main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
+              "--out", str(tmp_path / "full")])
+        ensemble = tmp_path / "hand.bin"
+        ensemble.write_bytes(struct.pack("<QQQdQ", 6, 5, m, p, 1) + body)
+        cfg = write_cfg(tmp_path, (
+            "mode = recover\nsource = matrix\n"
+            f"matrix_file = {tmp_path / 'full' / 'M.csv'}\nensemble_file = {ensemble}\n"
+            "alpha = 30\nbeta = 1\nrank_budget = 2\nmax_iter = 10\n"), name="hand.cfg")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{ensemble}: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "x" / "Mhat.csv").exists()
 
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: lines[:2] + ["2.5"] + lines[3:],

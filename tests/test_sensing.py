@@ -56,6 +56,21 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_sensing_ensemble(4, 4, 3, 1.0, seed=0)
 
+    @pytest.mark.parametrize("changed,message", [
+        ({"d2": 0, "packed": np.zeros((3, 0), np.uint8)},
+         "need at least one matrix entry, got 6x0"),
+        ({"m": 0, "packed": np.zeros((0, 4), np.uint8)}, "m must be >= 1, got 0"),
+        ({"p": float("nan")}, "p must lie in (0, 1), got nan"),
+        ({"packed": np.zeros((3, 3), np.uint8)},
+         "packed masks have shape (3, 3), expected (3, 4)")],
+        ids=["no_entries", "m_0", "p_nan", "packed_shape"])
+    def test_construction_checks_every_field(self, changed, message):
+        fields = {"d1": 6, "d2": 5, "m": 3, "p": 0.5, "seed": 1,
+                  "packed": np.zeros((3, 4), np.uint8), **changed}
+        with pytest.raises(ValueError) as err:
+            SensingEnsemble(**fields)
+        assert str(err.value) == message
+
 
 class TestForward:
     def test_all_ones_mask_sums_entries(self):
