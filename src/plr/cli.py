@@ -2,7 +2,7 @@
 
 Usage::
 
-    plr synth --config experiment.cfg [--out DIR] [--seed N] [--regen-from-seed]
+    plr synth --config experiment.cfg [--out DIR] [--seed N]
     plr solve --config experiment.cfg [--out DIR] [--seed N]
     plr sweep --config experiment.cfg [--out DIR] [--seed N] [--threads N]
 
@@ -48,12 +48,15 @@ _MODES = {"complete": "completion", "completion": "completion",
           "recover": "recovery", "recovery": "recovery"}
 _SOURCES = ("synthetic", "matrix", "image", "counts")
 _SOLVERS = ("pmlsvt", "proximal", "accelerated")
+# source -> the ExperimentConfig fields it requires
+_SOURCE_KEYS = {"synthetic": ("d1", "d2", "rank", "alpha", "beta"), "matrix": ("matrix_file",),
+                "image": ("image_file", "patch_h", "patch_w"), "counts": ("counts_file",)}
 # sweep_axis -> the ExperimentConfig field a sweep point replaces
 _AXIS_FIELDS = {"rho": "rho", "m": "m", "lambda": "penalty", "p_obs": "p_obs"}
 # mode or solver -> the ExperimentConfig fields it never reads
 _FIXED_STEP_UNREAD = ("penalty", "step_recip", "step_scale", "stop_on_objective_delta")
 _UNREAD_KEYS = {"recovery": ("p_obs", "obs_file"),
-                "completion": ("total_intensity", "y_file", "ensemble_file", "ensemble_meta"),
+                "completion": ("total_intensity", "y_file", "ensemble_file"),
                 "pmlsvt": ("tol",),
                 "proximal": _FIXED_STEP_UNREAD, "accelerated": _FIXED_STEP_UNREAD}
 
@@ -122,11 +125,9 @@ class ExperimentConfig:
     p_obs: float = None
     p: float = 0.5
     obs_seed: int = None
-    poissonize: bool = None
     obs_file: str = None
     y_file: str = None
     ensemble_file: str = None
-    ensemble_meta: str = None
     # solver
     solver: str = "pmlsvt"
     max_iter: int = 1000
@@ -172,8 +173,6 @@ class ExperimentConfig:
             ec.seed = seed_override
         if ec.obs_seed is None:
             ec.obs_seed = ec.seed
-        if ec.poissonize is None:
-            ec.poissonize = ec.source != "counts"
         return ec
 
     def validate(self, need_sweep=False):
@@ -195,12 +194,6 @@ class ExperimentConfig:
                 if getattr(self, name) != defaults[name]:
                     key = _FIELD_KEYS.get(name, name)
                     raise ConfigError(f"{owner} never reads config key {key!r}")
-        if self.mode == "recovery":
-            # recovery m counts masks; completion's m is an expected count
-            swept = self.sweep_values if self.sweep_axis == "m" else []
-            for m in [self.m, *swept]:
-                if m is not None and not float(m).is_integer():
-                    raise ConfigError(f"recovery m must be a whole number, got {m!r}")
         if need_sweep:
             if self.sweep_axis is None:
                 raise ConfigError("sweep command requires sweep_axis")
@@ -217,33 +210,73 @@ class ExperimentConfig:
             repeated = [v for v, n in Counter(self.sweep_values).items() if n > 1]
             if repeated:
                 raise ConfigError(f"sweep_values lists {repeated[0]!r} more than once")
-            if self.trials < 1:
-                raise ConfigError("trials must be >= 1")
             if self.sweep_axis in ("m", "p_obs") and (
-                    self.obs_file or self.y_file or self.ensemble_file or self.ensemble_meta):
+                    self.obs_file or self.y_file or self.ensemble_file):
                 raise ConfigError(
                     f"sweeping {self.sweep_axis} is incompatible with fixed observation files")
-        if self.source == "synthetic":
-            for key in ("d1", "d2", "rank"):
-                if getattr(self, key) is None:
-                    raise ConfigError(f"synthetic source requires {key}")
-            if self.alpha is None or self.beta is None:
-                raise ConfigError("synthetic source requires alpha and beta")
-        if self.source == "matrix" and self.matrix_file is None:
-            raise ConfigError("matrix source requires matrix_file")
-        if self.source == "image":
-            for key in ("image_file", "patch_h", "patch_w"):
-                if getattr(self, key) is None:
-                    raise ConfigError(f"image source requires {key}")
-        if self.source == "counts" and self.counts_file is None:
-            raise ConfigError("counts source requires counts_file")
+        for key in _SOURCE_KEYS[self.source]:
+            if getattr(self, key) is None:
+                raise ConfigError(f"{self.source} source requires {key}")
         if self.mode == "completion" and (self.alpha is None or self.beta is None):
             raise ConfigError("completion requires alpha and beta")
+        for point in _point_configs(self, self.sweep_values) if self.sweep_axis else [self]:
+            point._check_values()
         for key in ("matrix_file", "image_file", "counts_file", "obs_file",
-                    "y_file", "ensemble_file", "ensemble_meta"):
+                    "y_file", "ensemble_file"):
             path = getattr(self, key)
             if path is not None and not os.path.exists(path):
                 raise ConfigError(f"{key} = {path!r} does not exist")
+
+    def _check_values(self):
+        """Reject the values the config alone rules out, before any work."""
+        for keys, ok, need in _RANGES:
+            for key in keys:
+                value = getattr(self, key)
+                if value is not None and not ok(value):
+                    raise ConfigError(f"config key {key!r} must {need}, got {value!r}")
+        if self.alpha is not None and self.beta is not None and self.beta >= self.alpha:
+            raise ConfigError(f"config key 'beta' must lie below alpha = {self.alpha!r}, "
+                              f"got {self.beta!r}")
+        if self.mode == "recovery":
+            # recovery m counts masks; completion's m is an expected count
+            if self.m is not None and not float(self.m).is_integer():
+                raise ConfigError(f"recovery m must be a whole number, got {self.m!r}")
+            if self.m is None and self.ensemble_file is None:
+                raise ConfigError("recovery requires m or ensemble_file")
+        elif self.m is None and self.p_obs is None and self.obs_file is None:
+            raise ConfigError("completion requires m or p_obs")
+        _solver_config(self)
+
+
+# (config keys, test, what it requires) for the values no experiment can use
+_RANGES = (
+    (("seed", "obs_seed"), lambda v: v >= 0, "be >= 0"),
+    (("d1", "d2", "rank", "patch_h", "patch_w", "trunc_rank", "rank_budget", "trials"),
+     lambda v: v >= 1, "be >= 1"),
+    (("rho", "alpha", "beta", "entry_floor", "total_intensity", "m"),
+     lambda v: v > 0, "be positive"),
+    (("p",), lambda v: 0 < v < 1, "lie in (0, 1)"),
+    (("p_obs",), lambda v: 0 < v <= 1, "lie in (0, 1]"),
+)
+
+
+def _point_configs(ec, values):
+    """One config per sweep value: ``ec`` with the swept field replaced.  An
+    m point also clears p_obs, which would otherwise win over m."""
+    cleared = {"p_obs": None} if ec.sweep_axis == "m" else {}
+    return [dataclasses.replace(ec, **{_AXIS_FIELDS[ec.sweep_axis]: value}, **cleared)
+            for value in values]
+
+
+def _solver_config(ec):
+    """The SolverConfig of ``ec``; a value it rejects names its config key."""
+    try:
+        return SolverConfig(max_iter=ec.max_iter, step_recip=ec.step_recip,
+                            step_scale=ec.step_scale, penalty=ec.penalty, tol=ec.tol,
+                            mode=ec.mode, stop_on_objective_delta=ec.stop_on_objective_delta)
+    except ValueError as exc:
+        name = str(exc).split()[0]  # each SolverConfig message starts with its field
+        raise ConfigError(f"config key {_FIELD_KEYS.get(name, name)!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -311,30 +344,18 @@ def feasible_set_for(ec, M, m_value=None):
                        total_intensity=total, entry_floor=ec.entry_floor)
 
 
-def _completion_m(ec, dims):
-    if ec.p_obs is not None:
-        if not 0 < ec.p_obs <= 1:
-            raise ConfigError(f"p_obs must lie in (0, 1], got {ec.p_obs}")
-        return ec.p_obs * dims[0] * dims[1]
-    if ec.m is not None:
-        return float(ec.m)
-    raise ConfigError("completion requires m or p_obs")
-
-
 def make_completion_observations(ec, M, mask, seed):
     """Sample (or subsample) the observed entries for a completion problem."""
     d1, d2 = M.shape
     if ec.obs_file is not None:
         return load_observations_csv(ec.obs_file, (d1, d2))
-    m_expected = _completion_m(ec, (d1, d2))
-    if ec.poissonize:
+    m_expected = float(ec.m) if ec.p_obs is None else ec.p_obs * d1 * d2
+    if mask is None:  # an intensity: draw Poisson counts of it
         return sample_completion_observations(M, m_expected, seed)
     # Counts are already a Poisson realization: Bernoulli-subsample the cells
     # present in the file and take their values as the observations.
     rng = seeded_rng(seed)
-    keep = rng.random(M.shape) < m_expected / (d1 * d2)
-    if mask is not None:
-        keep &= mask
+    keep = (rng.random(M.shape) < m_expected / (d1 * d2)) & mask
     rows, cols = np.nonzero(keep)
     return CompletionObservations(rows=rows, cols=cols,
                                   counts=np.rint(M[rows, cols]).astype(np.int64),
@@ -348,31 +369,11 @@ def make_recovery_observations(ec, M, seed):
 
 
 def recovery_ensemble(ec, d1, d2, seed):
-    """The sensing masks: read from ensemble_file/ensemble_meta, else drawn
-    with the config's m and p from ``seed``."""
+    """The sensing masks: read from ensemble_file, else drawn with the
+    config's m and p from ``seed``."""
     if ec.ensemble_file is not None:
-        ensemble = load_ensemble(ec.ensemble_file)
-    elif ec.ensemble_meta is not None:
-        path = ec.ensemble_meta
-        meta = parse_config(path)
-        args = []
-        for key, kind in (("d1", int), ("d2", int), ("m", int), ("p", float), ("seed", int)):
-            if key not in meta:
-                raise ConfigError(f"{path}: lacks key {key!r}")
-            try:
-                args.append(kind(meta[key]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: key {key!r}: {exc}") from None
-        try:
-            ensemble = build_sensing_ensemble(*args)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    else:
-        m = int(ec.m or 0)
-        if m < 1:
-            raise ConfigError("recovery requires m >= 1")
-        ensemble = build_sensing_ensemble(d1, d2, m, ec.p, seed)
-    return ensemble
+        return load_ensemble(ec.ensemble_file)
+    return build_sensing_ensemble(d1, d2, int(ec.m), ec.p, seed)
 
 
 def recovery_counts(ec, M, seed, ensemble):
@@ -422,10 +423,7 @@ def run_single_solve(ec, M, mask, seed, ensemble=None):
         fset = feasible_set_for(ec, M, m_value=ensemble.m)
         obj = recovery_objective(ensemble, y.counts, fset)
 
-    config = SolverConfig(max_iter=ec.max_iter, step_recip=ec.step_recip,
-                          step_scale=ec.step_scale, penalty=ec.penalty, tol=ec.tol,
-                          mode=ec.mode,
-                          stop_on_objective_delta=ec.stop_on_objective_delta)
+    config = _solver_config(ec)
     if ec.solver == "pmlsvt":
         Mhat, trace = pmlsvt(obj, fset, X0=None, config=config)
     elif ec.solver == "proximal":
@@ -472,8 +470,9 @@ def metrics_lines(ec, M, mask, Mhat, fset, trace, wall_time):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(ec, out_dir, regen_from_seed=False):
-    """Write ground truth and observations: M.csv plus obs.csv or y.csv."""
+def cmd_synth(ec, out_dir):
+    """Write ground truth and observations: M.csv plus obs.csv, or plus
+    y.csv and ensemble.bin."""
     ec.validate()
     os.makedirs(out_dir, exist_ok=True)
     M, mask = build_ground_truth(ec)
@@ -485,11 +484,7 @@ def cmd_synth(ec, out_dir, regen_from_seed=False):
         ensemble, y = make_recovery_observations(ec, M, ec.obs_seed)
         _atomic_write_text(os.path.join(out_dir, "y.csv"),
                            "\n".join(str(v) for v in y.counts) + "\n")
-        meta = (f"d1 = {ensemble.d1}\nd2 = {ensemble.d2}\nm = {ensemble.m}\n"
-                f"p = {ensemble.p!r}\nseed = {ensemble.seed}\n")
-        _atomic_write_text(os.path.join(out_dir, "ensemble.meta"), meta)
-        if not regen_from_seed:
-            save_ensemble(os.path.join(out_dir, "ensemble.bin"), ensemble)
+        save_ensemble(os.path.join(out_dir, "ensemble.bin"), ensemble)
     return 0
 
 
@@ -545,17 +540,13 @@ def cmd_sweep(ec, out_dir):
     it per distinct rho, before the points run.  Points run trial by trial,
     in order on this thread.  A recovery trial's points share one mask set,
     drawn before they start and dropped before the next trial's; an m sweep's
-    points draw their own, and a fixed ensemble_file/ensemble_meta is read
-    once for the sweep.
+    points draw their own, and a fixed ensemble_file is read once for the
+    sweep.
     """
     ec.validate(need_sweep=True)
     os.makedirs(out_dir, exist_ok=True)
     values = sorted(ec.sweep_values)
-    # a point's config is ec with the swept field replaced; an m point also
-    # clears p_obs, which would otherwise win over m
-    cleared = {"p_obs": None} if ec.sweep_axis == "m" else {}
-    configs = [dataclasses.replace(ec, **{_AXIS_FIELDS[ec.sweep_axis]: value}, **cleared)
-               for value in values]
+    configs = _point_configs(ec, values)
     source = ground_truth_source(ec)
     truths = {}
     for pc in configs:
@@ -564,7 +555,7 @@ def cmd_sweep(ec, out_dir):
     del source
     shape = truths[configs[0].rho][0].shape
     fixed = None
-    if ec.ensemble_file or ec.ensemble_meta:  # recovery only, see validate
+    if ec.ensemble_file:  # recovery only, see validate
         fixed = recovery_ensemble(ec, *shape, ec.obs_seed)
     errs = []
     for trial in range(ec.trials):
@@ -612,18 +603,16 @@ def main(argv=None):
         sp.add_argument("--config", required=True, help="flat key=value experiment file")
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="checked, then unused: sweep points run in order on one "
-                             "thread (default: PLR_THREADS or 1)")
-        if name == "synth":
-            sp.add_argument("--regen-from-seed", action="store_true",
-                            help="record ensemble parameters instead of mask bits")
+        if name == "sweep":
+            sp.add_argument("--threads", type=int, default=None,
+                            help="checked, then unused: sweep points run in order on "
+                                 "one thread (default: PLR_THREADS or 1)")
     args = parser.parse_args(argv)
 
     try:
         ec = ExperimentConfig.from_file(args.config, seed_override=args.seed)
         if args.command == "synth":
-            return cmd_synth(ec, args.out, regen_from_seed=args.regen_from_seed)
+            return cmd_synth(ec, args.out)
         if args.command == "solve":
             return cmd_solve(ec, args.out)
         _thread_count(args.threads)

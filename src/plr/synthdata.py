@@ -194,8 +194,12 @@ def load_count_csv(path):
     if not hours.size:
         raise ValueError(f"{path}: no count rows")
     dims = (int(hours.max()) + 1, int(days.max()) + 1)
-    M = np.zeros(dims)
-    observed = np.zeros(dims, dtype=bool)
+    try:
+        M = np.zeros(dims)
+        observed = np.zeros(dims, dtype=bool)
+    except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+        raise ValueError(f"{path}: the {dims[0]} x {dims[1]} hours-by-days matrix "
+                         "is too big to allocate") from None
     M[hours, days] = counts
     observed[hours, days] = True
     return M, observed

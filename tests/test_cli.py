@@ -136,14 +136,23 @@ class TestExperimentConfig:
         ec = ExperimentConfig.from_file(cfg)
         assert {name: type(getattr(ec, name)) for name in types} == types
         assert (ec.mode, ec.solver, ec.penalty, ec.obs_seed) == ("completion", "pmlsvt", 0.5, 3)
-        assert ec.sweep_values == [2.0, 1.5] and ec.poissonize is True
+        assert ec.sweep_values == [2.0, 1.5]
 
     def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
         cfg = write_cfg(tmp_path, "mode = recover\nsource = counts\n")
         ec = ExperimentConfig.from_file(cfg)
-        # obs_seed and poissonize are derived from seed and source
-        assert ec == ExperimentConfig(mode="recovery", source="counts", obs_seed=0,
-                                      poissonize=False)
+        # obs_seed is derived from seed
+        assert ec == ExperimentConfig(mode="recovery", source="counts", obs_seed=0)
+
+    def test_readme_key_table_lists_every_config_key(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        table = readme.split("Every config key", 1)[1].split("\n\n", 2)[1]
+        rows = table.splitlines()[2:]  # past the header and its rule
+        assert rows and all(row.startswith("| `") for row in rows)
+        listed = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        keys = ["lambda" if f.name == "penalty" else f.name
+                for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(listed) == sorted(keys)
 
 
 class TestSynthSolvePipeline:
@@ -194,15 +203,10 @@ class TestSynthSolvePipeline:
 
     def test_recovery_regen_from_seed_matches_stored_masks(self, tmp_path):
         cfg = write_cfg(tmp_path, RECOVERY_CFG)
-        main(["synth", "--config", cfg, "--out", str(tmp_path / "full")])
-        assert (tmp_path / "full" / "ensemble.bin").exists()
-        main(["synth", "--config", cfg, "--out", str(tmp_path / "lean"),
-              "--regen-from-seed"])
-        assert not (tmp_path / "lean" / "ensemble.bin").exists()
-        assert (tmp_path / "lean" / "ensemble.meta").exists()
-        assert (tmp_path / "full" / "y.csv").read_bytes() == \
-            (tmp_path / "lean" / "y.csv").read_bytes()
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+        assert set(os.listdir(tmp_path / "full")) == {"M.csv", "y.csv", "ensemble.bin"}
 
+        # the config's m, p and seed rebuild the masks the synth stored
         base = ("mode = recover\nsource = matrix\n"
                 f"matrix_file = {tmp_path / 'full' / 'M.csv'}\n"
                 f"y_file = {tmp_path / 'full' / 'y.csv'}\n"
@@ -211,13 +215,11 @@ class TestSynthSolvePipeline:
         cfg_bin = write_cfg(tmp_path, base +
                             f"ensemble_file = {tmp_path / 'full' / 'ensemble.bin'}\n",
                             name="bin.cfg")
-        cfg_meta = write_cfg(tmp_path, base +
-                             f"ensemble_meta = {tmp_path / 'lean' / 'ensemble.meta'}\n",
-                             name="meta.cfg")
+        cfg_seed = write_cfg(tmp_path, base + "m = 40\np = 0.5\n", name="seed.cfg")
         assert main(["solve", "--config", cfg_bin, "--out", str(tmp_path / "rb")]) == 0
-        assert main(["solve", "--config", cfg_meta, "--out", str(tmp_path / "rm")]) == 0
+        assert main(["solve", "--config", cfg_seed, "--out", str(tmp_path / "rs")]) == 0
         assert (tmp_path / "rb" / "Mhat.csv").read_bytes() == \
-            (tmp_path / "rm" / "Mhat.csv").read_bytes()
+            (tmp_path / "rs" / "Mhat.csv").read_bytes()
 
     def test_image_source_completion(self, tmp_path, data_dir):
         cfg = write_cfg(tmp_path, (
@@ -514,14 +516,15 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, "mode = complete\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("line", ["lamda = 0.5", "penalty = 0.1"])
+    @pytest.mark.parametrize("line", ["lamda = 0.5", "penalty = 0.1",
+                                      "ensemble_meta = ensemble.meta", "poissonize = true"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path, COMPLETION_CFG + line + "\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert f"unknown config key '{line.split()[0]}'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("key,value", [("d1", "2.5"), ("poissonize", "maybe"),
+    @pytest.mark.parametrize("key,value", [("d1", "2.5"), ("stop_on_objective_delta", "maybe"),
                                            ("sweep_values", "1,x"), ("lambda", "big")])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, key, value):
         text = re.sub(rf"^{key} = .*\n", "", COMPLETION_CFG, flags=re.M)
@@ -554,27 +557,78 @@ class TestErrorPaths:
         assert f"recovery m must be a whole number, got {bad}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_malformed_ensemble_meta_exits_2(self, tmp_path, capsys):
-        main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
-              "--out", str(tmp_path / "lean"), "--regen-from-seed"])
-        meta = tmp_path / "lean" / "ensemble.meta"
-        good = meta.read_text()
-        meta.write_text(re.sub(r"^p = .*\n", "", good, flags=re.M))
-        cfg = write_cfg(tmp_path, (
-            "mode = recover\nsource = matrix\n"
-            f"matrix_file = {tmp_path / 'lean' / 'M.csv'}\n"
-            f"y_file = {tmp_path / 'lean' / 'y.csv'}\nensemble_meta = {meta}\n"
-            "alpha = 30\nbeta = 1\nrank_budget = 2\nmax_iter = 10\n"), name="meta.cfg")
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    @pytest.mark.parametrize("command,base,lines,message", [
+        ("solve", COMPLETION_CFG, "p_obs = 1.5\n",
+         "config key 'p_obs' must lie in (0, 1], got 1.5"),
+        ("solve", COMPLETION_CFG, "m = 0\n", "config key 'm' must be positive, got 0.0"),
+        ("solve", RECOVERY_CFG, "m = 0\n", "config key 'm' must be positive, got 0.0"),
+        ("solve", COMPLETION_CFG, "max_iter = 0\n",
+         "config key 'max_iter': max_iter must be >= 1, got 0"),
+        ("solve", COMPLETION_CFG, "step_scale = 0.5\n",
+         "config key 'step_scale': step_scale must exceed 1, got 0.5"),
+        ("solve", COMPLETION_CFG, "step_recip = -1\n",
+         "config key 'step_recip': step_recip must be positive, got -1.0"),
+        ("synth", RECOVERY_CFG, "p = 1.5\n", "config key 'p' must lie in (0, 1), got 1.5"),
+        ("solve", COMPLETION_CFG, "rho = -1\n", "config key 'rho' must be positive, got -1.0"),
+        ("solve", COMPLETION_CFG, "rank_budget = 0\n",
+         "config key 'rank_budget' must be >= 1, got 0"),
+        ("solve", COMPLETION_CFG, "beta = 40\n",
+         "config key 'beta' must lie below alpha = 30.0, got 40.0"),
+        ("solve", COMPLETION_CFG, "seed = -1\n", "config key 'seed' must be >= 0, got -1"),
+        ("solve", RECOVERY_CFG.replace("m = 40\n", ""), "", "recovery requires m or ensemble_file"),
+        ("sweep", COMPLETION_CFG, "sweep_axis = lambda\nsweep_values = 0.1,-1\ntrials = 1\n",
+         "config key 'lambda': penalty must be nonnegative, got -1.0"),
+        ("sweep", COMPLETION_CFG.replace("m = 36\n", ""),
+         "sweep_axis = p_obs\nsweep_values = 0.5,1.5\ntrials = 1\n",
+         "config key 'p_obs' must lie in (0, 1], got 1.5"),
+        ("sweep", RECOVERY_CFG.replace("m = 40\n", ""),
+         "sweep_axis = m\nsweep_values = 0,40\ntrials = 1\n",
+         "config key 'm' must be positive, got 0.0")],
+        ids=["p_obs", "completion_m", "recovery_m", "max_iter", "step_scale", "step_recip", "p",
+             "rho", "rank_budget", "beta", "seed", "no_m", "lambda_sweep", "p_obs_sweep",
+             "m_sweep"])
+    def test_value_the_config_rules_out_exits_2_before_any_work(
+            self, tmp_path, capsys, command, base, lines, message):
+        for key in re.findall(r"^(\w+) =", lines, flags=re.M):
+            base = re.sub(rf"^{key} = .*\n", "", base, flags=re.M)
+        cfg = write_cfg(tmp_path, base + lines)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert str(meta) in err and "lacks key 'p'" in err and "Traceback" not in err
-        for key, value, message in [
-                ("d2", "x", "key 'd2': invalid literal for int() with base 10: 'x'"),
-                ("m", "0", "m must be >= 1, got 0")]:
-            meta.write_text(re.sub(rf"^{key} = .*\n", f"{key} = {value}\n", good, flags=re.M))
-            assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-            err = capsys.readouterr().err
-            assert f"{meta}: {message}" in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "solve"])
+    def test_threads_is_a_sweep_only_flag(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, COMPLETION_CFG)
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg, "--out", str(tmp_path / "x"), "--threads", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_count_file_beyond_memory_exits_2_naming_it(self, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("2000000,2000000,1\n")
+        cfg = write_cfg(tmp_path, (
+            f"mode = complete\nsource = counts\ncounts_file = {counts}\n"
+            "alpha = 10\nbeta = 1\np_obs = 0.5\n"))
+        # a 2 GB address space cannot hold the 2000000 x 2000000 matrix
+        code = ("import resource, sys\n"
+                "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))\n"
+                "from plr.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(plr.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "solve", "--config", cfg, "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert (f"{counts}: the 2000000 x 2000000 hours-by-days matrix is too big to allocate"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("m,p,body,message", [
         (0, 0.5, b"", "m must be >= 1, got 0"),
@@ -635,7 +689,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("mode,key", [
         ("recovery", "p_obs"), ("recovery", "obs_file"),
         ("completion", "total_intensity"), ("completion", "y_file"),
-        ("completion", "ensemble_file"), ("completion", "ensemble_meta")])
+        ("completion", "ensemble_file")])
     def test_key_the_mode_never_reads_exits_2(self, tmp_path, capsys, mode, key):
         base = RECOVERY_CFG if mode == "recovery" else COMPLETION_CFG
         value = "0.5" if key in ("p_obs", "total_intensity") else __file__  # an existing file

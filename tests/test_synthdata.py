@@ -204,6 +204,14 @@ class TestCountCsv:
         with pytest.raises(ValueError, match="line 3"):
             load_count_csv(path)
 
+    def test_matrix_beyond_numpy_names_the_file(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"{2**40},{2**40},1\n")
+        with pytest.raises(ValueError) as info:
+            load_count_csv(path)
+        assert str(info.value) == (f"{path}: the {2**40} x {2**40} hours-by-days matrix "
+                                   "is too big to allocate")
+
     def test_ships_bike_toy_fixture(self, data_dir):
         M, mask = load_count_csv(f"{data_dir}/bike_toy.csv")
         assert M.shape == (24, 8) and mask.all() and M.min() >= 0
