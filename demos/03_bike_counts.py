@@ -29,7 +29,7 @@ def main():
     rows, cols = np.nonzero(keep)
     obs = CompletionObservations(rows=rows, cols=cols,
                                  counts=counts[rows, cols].astype(np.int64),
-                                 dims=(d1, d2), sample_prob=0.5)
+                                 dims=(d1, d2))
     print(f"{len(obs)} of {d1 * d2} cells observed, counts up to {counts.max():.0f}")
 
     fset = FeasibleSet(alpha=1000.0, beta=1.0, rank_budget=2)

@@ -54,9 +54,9 @@ _SOURCE_KEYS = {"synthetic": ("d1", "d2", "rank", "alpha", "beta"), "matrix": ("
 # sweep_axis -> the ExperimentConfig field a sweep point replaces
 _AXIS_FIELDS = {"rho": "rho", "m": "m", "lambda": "penalty", "p_obs": "p_obs"}
 # mode or solver -> the ExperimentConfig fields it never reads
-_FIXED_STEP_UNREAD = ("penalty", "step_recip", "step_scale", "stop_on_objective_delta")
+_FIXED_STEP_UNREAD = ("penalty", "step_recip", "step_scale")
 _UNREAD_KEYS = {"recovery": ("p_obs", "obs_file"),
-                "completion": ("total_intensity", "y_file", "ensemble_file"),
+                "completion": ("p", "total_intensity", "y_file", "ensemble_file"),
                 "pmlsvt": ("tol",),
                 "proximal": _FIXED_STEP_UNREAD, "accelerated": _FIXED_STEP_UNREAD}
 
@@ -81,16 +81,9 @@ def parse_config(path):
     return cfg
 
 
-def _parse_bool(raw):
-    val = raw.lower()
-    if val not in ("true", "false", "0", "1", "yes", "no"):
-        raise ValueError(f"not a boolean: {raw!r}")
-    return val in ("true", "1", "yes")
-
-
 # One parser per declared field type (annotations are strings here, see the
 # __future__ import); a list is comma-separated floats.
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+_PARSERS = {"int": int, "float": float, "str": str,
             "list": lambda raw: [float(v) for v in raw.split(",") if v.strip()]}
 # Config keys spelt differently from their ExperimentConfig field.
 _FIELD_KEYS = {"penalty": "lambda"}
@@ -135,7 +128,6 @@ class ExperimentConfig:
     step_scale: float = 1.1
     penalty: float = None
     tol: float = 0.0
-    stop_on_objective_delta: bool = False
     # sweep
     sweep_axis: str = None
     sweep_values: list = field(default_factory=list)
@@ -187,11 +179,9 @@ class ExperimentConfig:
         if self.sweep_axis == "lambda" and self.solver != "pmlsvt":
             raise ConfigError(f"solver = {self.solver} never reads lambda; "
                               "sweeping lambda needs solver = pmlsvt")
-        # a key counts as set when its field differs from the dataclass default
-        defaults = {f.name: f.default for f in dataclasses.fields(self)}
         for owner in (self.mode, self.solver):
             for name in _UNREAD_KEYS[owner]:
-                if getattr(self, name) != defaults[name]:
+                if _is_set(self, name):
                     key = _FIELD_KEYS.get(name, name)
                     raise ConfigError(f"{owner} never reads config key {key!r}")
         if need_sweep:
@@ -260,6 +250,11 @@ _RANGES = (
 )
 
 
+def _is_set(ec, name):
+    """A key counts as set when its field differs from the dataclass default."""
+    return getattr(ec, name) != ExperimentConfig.__dataclass_fields__[name].default
+
+
 def _point_configs(ec, values):
     """One config per sweep value: ``ec`` with the swept field replaced.  An
     m point also clears p_obs, which would otherwise win over m."""
@@ -273,7 +268,7 @@ def _solver_config(ec):
     try:
         return SolverConfig(max_iter=ec.max_iter, step_recip=ec.step_recip,
                             step_scale=ec.step_scale, penalty=ec.penalty, tol=ec.tol,
-                            mode=ec.mode, stop_on_objective_delta=ec.stop_on_objective_delta)
+                            mode=ec.mode)
     except ValueError as exc:
         name = str(exc).split()[0]  # each SolverConfig message starts with its field
         raise ConfigError(f"config key {_FIELD_KEYS.get(name, name)!r}: {exc}") from None
@@ -357,9 +352,8 @@ def make_completion_observations(ec, M, mask, seed):
     rng = seeded_rng(seed)
     keep = (rng.random(M.shape) < m_expected / (d1 * d2)) & mask
     rows, cols = np.nonzero(keep)
-    return CompletionObservations(rows=rows, cols=cols,
-                                  counts=np.rint(M[rows, cols]).astype(np.int64),
-                                  dims=(d1, d2), sample_prob=m_expected / (d1 * d2))
+    return CompletionObservations(rows=rows, cols=cols, dims=(d1, d2),
+                                  counts=np.rint(M[rows, cols]).astype(np.int64))
 
 
 def make_recovery_observations(ec, M, seed):
@@ -370,9 +364,16 @@ def make_recovery_observations(ec, M, seed):
 
 def recovery_ensemble(ec, d1, d2, seed):
     """The sensing masks: read from ensemble_file, else drawn with the
-    config's m and p from ``seed``."""
+    config's m and p from ``seed``.  A file whose m or p differs from one the
+    config sets is a ConfigError."""
     if ec.ensemble_file is not None:
-        return load_ensemble(ec.ensemble_file)
+        ensemble = load_ensemble(ec.ensemble_file)
+        for key in ("m", "p"):
+            held, value = getattr(ensemble, key), getattr(ec, key)
+            if _is_set(ec, key) and held != value:
+                raise ConfigError(f"{ec.ensemble_file}: the masks have {key} = {held!r}, "
+                                  f"but the config sets {key} = {value!r}")
+        return ensemble
     return build_sensing_ensemble(d1, d2, int(ec.m), ec.p, seed)
 
 
@@ -573,24 +574,6 @@ def cmd_sweep(ec, out_dir):
     return 0
 
 
-def _thread_count(flag):
-    """--threads, else PLR_THREADS, else 1, checked to be a positive integer.
-
-    No sweep reads it: every sweep runs its points in order on one thread.
-    """
-    if flag is not None:
-        name, raw = "--threads", flag
-    else:
-        name, raw = "PLR_THREADS", os.environ.get("PLR_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {raw!r}")
-    return threads
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="plr",
@@ -605,8 +588,8 @@ def main(argv=None):
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "sweep":
             sp.add_argument("--threads", type=int, default=None,
-                            help="checked, then unused: sweep points run in order on "
-                                 "one thread (default: PLR_THREADS or 1)")
+                            help="checked to be >= 1, then unused: sweep points run "
+                                 "in order on one thread")
     args = parser.parse_args(argv)
 
     try:
@@ -615,7 +598,9 @@ def main(argv=None):
             return cmd_synth(ec, args.out)
         if args.command == "solve":
             return cmd_solve(ec, args.out)
-        _thread_count(args.threads)
+        # checked, though no sweep reads it: points run in order on one thread
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
         return cmd_sweep(ec, args.out)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"plr {args.command}: error: {exc}", file=sys.stderr)

@@ -100,15 +100,13 @@ class CompletionObservations:
     """Poisson counts on an observed index set of a d1-by-d2 matrix.
 
     ``rows``/``cols`` are 0-based and sorted lexicographically by (row, col);
-    ``counts`` is int64 and aligned with them.  ``sample_prob`` records the
-    Bernoulli sampling parameter m / (d1*d2).
+    ``counts`` is int64 and aligned with them.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     counts: np.ndarray
     dims: tuple
-    sample_prob: float = 1.0
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.int64)
@@ -135,18 +133,6 @@ class CompletionObservations:
 
     def __len__(self):
         return self.rows.size
-
-    def dense_counts(self):
-        """Counts scattered into a dense d1-by-d2 float matrix (zeros off-support)."""
-        Y = np.zeros(self.dims)
-        Y[self.rows, self.cols] = self.counts
-        return Y
-
-    def mask(self):
-        """Boolean d1-by-d2 indicator of the observed set."""
-        mask = np.zeros(self.dims, dtype=bool)
-        mask[self.rows, self.cols] = True
-        return mask
 
 
 @dataclass(frozen=True)
@@ -331,8 +317,8 @@ def _read_triplets(path, dims=None):
     """Read 1-based ``i,j,count`` rows into 0-based int64 arrays.
 
     A first line whose first field is not an integer is a header.  Each other
-    line has three integer fields, a cell inside ``dims`` (else indices >= 1),
-    a nonnegative int64 count and a cell no earlier line gave.  Returns
+    line has three integer fields, a cell inside ``dims`` (else int64 indices
+    >= 1), a nonnegative int64 count and a cell no earlier line gave.  Returns
     ``(rows, cols, counts, header)``, with ``header`` None when there is none.
     """
     header, triplets, seen = None, [], set()
@@ -351,8 +337,9 @@ def _read_triplets(path, dims=None):
             raise ValueError(f"{path}: line {lineno}: indices are 1-based")
         if y < 0:
             raise ValueError(f"{path}: line {lineno}: negative count {y}")
-        if y >= 2**63:
-            raise ValueError(f"{path}: line {lineno}: count {y} above the int64 range")
+        for what, value in (("index", i), ("index", j), ("count", y)):
+            if value >= 2**63:
+                raise ValueError(f"{path}: line {lineno}: {what} {value} above the int64 range")
         if (i, j) in seen:
             raise ValueError(f"{path}: line {lineno}: duplicate cell ({i}, {j})")
         seen.add((i, j))
@@ -392,11 +379,10 @@ def save_observations_csv(path, obs):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def load_observations_csv(path, dims, sample_prob=1.0):
+def load_observations_csv(path, dims):
     """Read `row,col,count` triplets (1-based) into CompletionObservations."""
     rows, cols, counts, header = _read_triplets(path, dims)
     if header != "row,col,count":
         got = "no header" if header is None else repr(header)
         raise ValueError(f"{path}: line 1: expected header 'row,col,count', got {got}")
-    return CompletionObservations(rows=rows, cols=cols, counts=counts,
-                                  dims=tuple(dims), sample_prob=sample_prob)
+    return CompletionObservations(rows=rows, cols=cols, counts=counts, dims=tuple(dims))

@@ -97,17 +97,15 @@ class BoundConstants:
     exponent q of the nearly-low-rank class, which must lie in (0, 1).
     """
 
-    C: float = 1.0
     C_prime: float = 1.0
     c0: float = 1.0
-    c2: float = 1.0
     c4: float = 1.0
     rho: float = 1.0
     q: float = 0.5
     p: float = 0.5
 
     def __post_init__(self):
-        for name in ("C", "C_prime", "c0", "c2", "c4", "rho", "p"):
+        for name in ("C_prime", "c0", "c4", "rho", "p"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.q < 1:

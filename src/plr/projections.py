@@ -114,14 +114,20 @@ class AlternatingProjectResult:
 
 
 def _alternating_body(U, alpha, beta, radius, tol, max_iter):
-    """Unvalidated alternating-projection loop shared with the solvers."""
+    """Unvalidated alternating-projection loop shared with the solvers.
+
+    Since ||U||_* <= sqrt(min(d1, d2)) * ||U||_F, a sweep whose Frobenius
+    norm is within ``radius / sqrt(min(d1, d2))`` is inside the nuclear ball
+    and skips the SVD.
+    """
+    inside = radius / np.sqrt(min(U.shape))
     gap = np.inf
     for it in range(1, max_iter + 1):
-        Un, s, Vt = np.linalg.svd(U, full_matrices=False)
-        if s.sum() > radius:
-            V = (Un * _l1_threshold_sorted(s, radius)) @ Vt
-        else:
+        if np.linalg.norm(U) <= inside:
             V = U
+        else:
+            Un, s, Vt = np.linalg.svd(U, full_matrices=False)
+            V = (Un * _l1_threshold_sorted(s, radius)) @ Vt if s.sum() > radius else U
         U = np.clip(V, beta, alpha)
         gap = float(np.linalg.norm(V - U))
         if gap <= tol:

@@ -58,10 +58,6 @@ class SensingEnsemble:
                                      f"expected {rows}")
 
     @property
-    def xi_p(self):
-        return xi_p_value(self.p)
-
-    @property
     def shape(self):
         return (self.d1, self.d2)
 

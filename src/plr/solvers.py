@@ -52,7 +52,6 @@ class SolverConfig:
     penalty: float = None
     tol: float = 0.0
     mode: str = None
-    stop_on_objective_delta: bool = False
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -172,8 +171,7 @@ def pmlsvt(obj, fset, X0=None, config=None, feasible_map=None):
     the new objective exceeds the local quadratic model Q_t the step is
     rejected: the iterate reverts to the recorded previous point, t is scaled
     up by ``step_scale``, and the step is recomputed.  The loop exits when
-    |f(X_new) - Q_t(X_new, X_old)| < 0.5/max_iter, or on the plain objective
-    difference when ``stop_on_objective_delta`` is set.
+    |f(X_new) - Q_t(X_new, X_old)| < 0.5/max_iter.
 
     ``feasible_map`` overrides the mode's feasibility map (testing hook).
     A ``None`` penalty falls back to :func:`select_lambda_default`.
@@ -222,10 +220,8 @@ def pmlsvt(obj, fset, X0=None, config=None, feasible_map=None):
                 raise SolverAbort(
                     f"backtracking diverged (t > {MAX_STEP_RECIP:g})", X, trace)
         trace.record(f_new, t)
-        stop = (abs(f_new - f_cur) < threshold if config.stop_on_objective_delta
-                else abs(f_new - Q) < threshold)
         X, f_cur = X_new, f_new
-        if stop:
+        if abs(f_new - Q) < threshold:
             trace.terminated_by = "tolerance"
             return X, trace
     trace.terminated_by = "max_iter"

@@ -151,13 +151,10 @@ def sample_completion_observations(M, m_expected, seed):
         raise ValueError(f"m_expected must lie in (0, {d1 * d2}], got {m_expected}")
     if M.min() < 0:
         raise ValueError("intensity matrix must be nonnegative")
-    p = m_expected / (d1 * d2)
     rng = seeded_rng(seed)
-    mask = rng.random((d1, d2)) < p
-    rows, cols = np.nonzero(mask)
+    rows, cols = np.nonzero(rng.random((d1, d2)) < m_expected / (d1 * d2))
     counts = rng.poisson(M[rows, cols])
-    return CompletionObservations(rows=rows, cols=cols, counts=counts,
-                                  dims=(d1, d2), sample_prob=p)
+    return CompletionObservations(rows=rows, cols=cols, counts=counts, dims=(d1, d2))
 
 
 def image_to_patch_matrix(image, layout):

@@ -517,15 +517,16 @@ class TestErrorPaths:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
     @pytest.mark.parametrize("line", ["lamda = 0.5", "penalty = 0.1",
-                                      "ensemble_meta = ensemble.meta", "poissonize = true"])
+                                      "ensemble_meta = ensemble.meta", "poissonize = true",
+                                      "stop_on_objective_delta = true"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path, COMPLETION_CFG + line + "\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert f"unknown config key '{line.split()[0]}'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("key,value", [("d1", "2.5"), ("stop_on_objective_delta", "maybe"),
-                                           ("sweep_values", "1,x"), ("lambda", "big")])
+    @pytest.mark.parametrize("key,value", [("d1", "2.5"), ("sweep_values", "1,x"),
+                                           ("lambda", "big")])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, key, value):
         text = re.sub(rf"^{key} = .*\n", "", COMPLETION_CFG, flags=re.M)
         cfg = write_cfg(tmp_path, text + f"{key} = {value}\n")
@@ -648,6 +649,41 @@ class TestErrorPaths:
         assert f"{ensemble}: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "x" / "Mhat.csv").exists()
 
+    def _file_ensemble_cfg(self, tmp_path, lines):
+        """A recovery solve on RECOVERY_CFG's synth output, masks read from
+        its 40-mask, p = 0.5 ensemble.bin, plus ``lines``."""
+        main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
+              "--out", str(tmp_path / "full")])
+        return write_cfg(tmp_path, (
+            "mode = recover\nsource = matrix\n"
+            f"matrix_file = {tmp_path / 'full' / 'M.csv'}\n"
+            f"ensemble_file = {tmp_path / 'full' / 'ensemble.bin'}\n"
+            "alpha = 30\nbeta = 1\nrank_budget = 2\nmax_iter = 10\n" + lines), name="file.cfg")
+
+    @pytest.mark.parametrize("lines,message", [
+        ("m = 999\n", "the masks have m = 40, but the config sets m = 999.0"),
+        ("p = 0.9\n", "the masks have p = 0.5, but the config sets p = 0.9"),
+        ("m = 40\np = 0.5\n", None)], ids=["m", "p", "agrees"])
+    def test_ensemble_file_contradicting_the_config_exits_2(self, tmp_path, capsys,
+                                                           lines, message):
+        cfg = self._file_ensemble_cfg(tmp_path, lines)
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "x")])
+        if message is None:
+            assert code == 0
+            return
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'full' / 'ensemble.bin'}: {message}" in err
+        assert "Traceback" not in err and not (tmp_path / "x" / "Mhat.csv").exists()
+
+    def test_sweep_on_an_ensemble_file_contradicting_the_config_exits_2(self, tmp_path, capsys):
+        cfg = self._file_ensemble_cfg(
+            tmp_path, "m = 999\nsweep_axis = lambda\nsweep_values = 0.01,0.1\ntrials = 1\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert "the masks have m = 40, but the config sets m = 999.0" in err
+        assert "Traceback" not in err and not (tmp_path / "s" / "sweep.csv").exists()
+
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: lines[:2] + ["2.5"] + lines[3:],
          "y.csv: line 3: invalid literal for int() with base 10: '2.5'"),
@@ -688,11 +724,13 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("mode,key", [
         ("recovery", "p_obs"), ("recovery", "obs_file"),
-        ("completion", "total_intensity"), ("completion", "y_file"),
+        ("completion", "p"), ("completion", "total_intensity"), ("completion", "y_file"),
         ("completion", "ensemble_file")])
     def test_key_the_mode_never_reads_exits_2(self, tmp_path, capsys, mode, key):
         base = RECOVERY_CFG if mode == "recovery" else COMPLETION_CFG
-        value = "0.5" if key in ("p_obs", "total_intensity") else __file__  # an existing file
+        # p's 0.5 is its default, which counts as unset
+        value = {"p": "0.9", "p_obs": "0.5", "total_intensity": "0.5"}.get(
+            key, __file__)  # an existing file
         cfg = write_cfg(tmp_path, base + f"{key} = {value}\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert f"{mode} never reads config key '{key}'" in capsys.readouterr().err
@@ -701,9 +739,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize("solver,key,value", [
         ("pmlsvt", "tol", "5"),
         ("proximal", "lambda", "5"), ("proximal", "step_recip", "1e3"),
-        ("proximal", "step_scale", "3"), ("proximal", "stop_on_objective_delta", "true"),
+        ("proximal", "step_scale", "3"),
         ("accelerated", "lambda", "5"), ("accelerated", "step_recip", "1e3"),
-        ("accelerated", "step_scale", "3"), ("accelerated", "stop_on_objective_delta", "true")])
+        ("accelerated", "step_scale", "3")])
     def test_key_the_solver_never_reads_exits_2(self, tmp_path, capsys, solver, key, value):
         cfg = write_cfg(tmp_path, fixed_step_cfg(solver) + f"{key} = {value}\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -734,14 +772,6 @@ class TestErrorPaths:
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "could not draw a rank-2 matrix" in capsys.readouterr().err
 
-    def test_bad_env_threads_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PLR_THREADS", "abc")
-        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("m = 36\n", "") + (
-            "sweep_axis = p_obs\nsweep_values = 0.8\ntrials = 1\n"))
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-        err = capsys.readouterr().err
-        assert "PLR_THREADS" in err and "'abc'" in err and "Traceback" not in err
-
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_exits_2(self, tmp_path, capsys, threads):
         cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("m = 36\n", "") + (
@@ -751,20 +781,16 @@ class TestErrorPaths:
         assert f"--threads must be a positive integer, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "x" / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("flag,env,named", [(["--threads", "0"], None, "--threads"),
-                                                ([], "abc", "PLR_THREADS")], ids=["flag", "env"])
-    def test_bad_threads_exit_2_on_a_recovery_sweep(self, tmp_path, capsys, monkeypatch,
-                                                    flag, env, named):
+    @pytest.mark.parametrize("flag", [["--threads", "0"]], ids=["flag"])
+    def test_bad_threads_exit_2_on_a_recovery_sweep(self, tmp_path, capsys, flag):
         # no sweep reads the thread count, but every sweep validates it
-        if env is not None:
-            monkeypatch.setenv("PLR_THREADS", env)
         cfg = write_cfg(tmp_path, RECOVERY_CFG + "sweep_axis = rho\nsweep_values = 1\ntrials = 1\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x"), *flag]) == 2
-        assert f"{named} must be a positive integer" in capsys.readouterr().err
+        assert "--threads must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PLR_THREADS", "2")
+    def test_sweep_ignores_the_environment_for_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PLR_THREADS", "abc")
         cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("m = 36\n", "") + (
             "sweep_axis = p_obs\nsweep_values = 0.8\ntrials = 1\n"))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "env")]) == 0

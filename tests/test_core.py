@@ -129,12 +129,6 @@ class TestObservations:
         with pytest.raises(ValueError):
             CompletionObservations(rows=[0], cols=[0], counts=[-1], dims=(2, 2))
 
-    def test_dense_and_mask(self):
-        obs = CompletionObservations(rows=[0, 1], cols=[1, 0], counts=[5, 7], dims=(2, 3))
-        Y = obs.dense_counts()
-        assert Y[0, 1] == 5 and Y[1, 0] == 7 and Y.sum() == 12
-        assert obs.mask().sum() == 2
-
     def test_compressive_counts(self):
         y = CompressiveObservations(counts=[0, 3, 2])
         assert len(y) == 3
@@ -165,12 +159,12 @@ class TestFileFormats:
 
     def test_observations_roundtrip(self, tmp_path):
         obs = CompletionObservations(rows=[0, 2], cols=[1, 0], counts=[4, 9],
-                                     dims=(3, 2), sample_prob=0.5)
+                                     dims=(3, 2))
         path = tmp_path / "obs.csv"
         save_observations_csv(path, obs)
         text = path.read_text().splitlines()
         assert text[0] == "row,col,count" and text[1] == "1,2,4"  # 1-based on disk
-        back = load_observations_csv(path, (3, 2), sample_prob=0.5)
+        back = load_observations_csv(path, (3, 2))
         assert np.array_equal(back.rows, obs.rows)
         assert np.array_equal(back.counts, obs.counts)
 

@@ -34,6 +34,9 @@ BAD_FILES = [
     pytest.param("observations", b"row,col,count\n1,2,9223372036854775808\n",
                  "line 2: count 9223372036854775808 above the int64 range",
                  id="observations-count-overflow"),
+    pytest.param("counts", b"hour,day,count\n99999999999999999999,1,1\n",
+                 "line 2: index 99999999999999999999 above the int64 range",
+                 id="counts-index-overflow"),
     pytest.param("pgm", b"P2 # magic\n2 2\n255\n\n0 0\n0 x\n",
                  "line 6: expected an integer, got 'x'", id="pgm"),
     pytest.param("ensemble", b"\x00" * 10, "byte 0: expected 40 header bytes, got 10",
