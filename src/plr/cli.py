@@ -10,6 +10,10 @@ Configs are flat ``key = value`` text files (``#`` starts a comment), one
 experiment per file.  Every command is reproducible byte-for-byte from its
 config and seeds, except the wall-time line of the metrics file.  Exit
 status: 0 on success, 2 on a config or input error, 3 on a solver abort.
+
+Before any work, ``ExperimentConfig.validate`` checks each point config (the
+config itself, or one per sweep value) against the tables of what each mode,
+source, solver, ``obs_file`` and command requires and never reads.
 """
 
 from __future__ import annotations
@@ -44,21 +48,27 @@ from .synthdata import (PatchLayout, gen_exact_low_rank, image_to_patch_matrix,
 # when both derive from one experiment seed.
 COUNT_SEED_OFFSET = 500_000_007
 
-_MODES = {"complete": "completion", "completion": "completion",
-          "recover": "recovery", "recovery": "recovery"}
-_SOURCES = ("synthetic", "matrix", "image", "counts")
-_SOLVERS = ("pmlsvt", "proximal", "accelerated")
-# source -> the ExperimentConfig fields it requires
-_SOURCE_KEYS = {"synthetic": ("d1", "d2", "rank", "alpha", "beta"), "matrix": ("matrix_file",),
-                "image": ("image_file", "patch_h", "patch_w"), "counts": ("counts_file",)}
+# config key -> its accepted spellings; _ALIASES maps the short ones to the full
+_CHOICES = {"mode": ("completion", "recovery", "complete", "recover"),
+            "source": ("synthetic", "matrix", "image", "counts"),
+            "solver": ("pmlsvt", "proximal", "accelerated")}
+_ALIASES = {"complete": "completion", "recover": "recovery"}
 # sweep_axis -> the ExperimentConfig field a sweep point replaces
 _AXIS_FIELDS = {"rho": "rho", "m": "m", "lambda": "penalty", "p_obs": "p_obs"}
-# mode or solver -> the ExperimentConfig fields it never reads
+_SINGLE = "a single experiment"  # the owner of the rules of synth and solve
+# owner -> the ExperimentConfig fields it requires ("a or b": one of them)
+_REQUIRES = {"synthetic": ("d1", "d2", "rank", "alpha", "beta"), "matrix": ("matrix_file",),
+             "image": ("image_file", "patch_h", "patch_w"), "counts": ("counts_file",),
+             "completion": ("alpha", "beta", "m or p_obs or obs_file"),
+             "recovery": ("m or ensemble_file",)}
+# owner -> the ExperimentConfig fields it never reads
 _FIXED_STEP_UNREAD = ("penalty", "step_recip", "step_scale")
 _UNREAD_KEYS = {"recovery": ("p_obs", "obs_file"),
                 "completion": ("p", "total_intensity", "y_file", "ensemble_file"),
                 "pmlsvt": ("tol",),
-                "proximal": _FIXED_STEP_UNREAD, "accelerated": _FIXED_STEP_UNREAD}
+                "proximal": _FIXED_STEP_UNREAD, "accelerated": _FIXED_STEP_UNREAD,
+                "obs_file": ("m", "p_obs"),
+                _SINGLE: ("sweep_axis", "sweep_values", "trials")}
 
 
 class ConfigError(ValueError):
@@ -153,14 +163,11 @@ class ExperimentConfig:
             elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
                 raise ConfigError(f"missing required config key {key!r}")
         ec = cls(**values)
-        mode_raw = ec.mode.lower()
-        if mode_raw not in _MODES:
-            raise ConfigError(f"mode must be one of {sorted(set(_MODES))}, got {mode_raw!r}")
-        ec.mode = _MODES[mode_raw]
-        ec.source = ec.source.lower()
-        if ec.source not in _SOURCES:
-            raise ConfigError(f"source must be one of {_SOURCES}, got {ec.source!r}")
-        ec.solver = ec.solver.lower()
+        for key, choices in _CHOICES.items():
+            value = getattr(ec, key).lower()
+            if value not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
+            setattr(ec, key, _ALIASES.get(value, value))
         if seed_override is not None:
             ec.seed = seed_override
         if ec.obs_seed is None:
@@ -168,57 +175,50 @@ class ExperimentConfig:
         return ec
 
     def validate(self, need_sweep=False):
-        if self.solver not in _SOLVERS:
-            raise ConfigError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
-        if self.mode == "recovery" and self.solver != "pmlsvt":
-            # their fixed step 1/L uses the completion constant alpha/beta**2,
-            # which with recovery's box leaves the iterate where it started
-            raise ConfigError(
-                f"solver = {self.solver} supports completion only; "
-                "use solver = pmlsvt for recovery")
-        if self.sweep_axis == "lambda" and self.solver != "pmlsvt":
-            raise ConfigError(f"solver = {self.solver} never reads lambda; "
-                              "sweeping lambda needs solver = pmlsvt")
-        for owner in (self.mode, self.solver):
-            for name in _UNREAD_KEYS[owner]:
-                if _is_set(self, name):
-                    key = _FIELD_KEYS.get(name, name)
-                    raise ConfigError(f"{owner} never reads config key {key!r}")
+        """Reject a config no experiment runs: sweep rules, each point, files."""
         if need_sweep:
             if self.sweep_axis is None:
                 raise ConfigError("sweep command requires sweep_axis")
-        elif self.sweep_axis is not None:
-            raise ConfigError("sweep_axis set, but this command runs a single experiment")
-        if self.sweep_axis is not None:
             if self.sweep_axis not in _AXIS_FIELDS:
                 raise ConfigError(f"sweep_axis must be one of {tuple(_AXIS_FIELDS)}")
-            if self.sweep_axis == "p_obs" and self.mode == "recovery":
-                raise ConfigError("sweeping p_obs applies to completion only; "
-                                  "recovery does not read p_obs")
             if not self.sweep_values:
                 raise ConfigError("sweep requires a non-empty sweep_values list")
             repeated = [v for v, n in Counter(self.sweep_values).items() if n > 1]
             if repeated:
                 raise ConfigError(f"sweep_values lists {repeated[0]!r} more than once")
-            if self.sweep_axis in ("m", "p_obs") and (
-                    self.obs_file or self.y_file or self.ensemble_file):
-                raise ConfigError(
-                    f"sweeping {self.sweep_axis} is incompatible with fixed observation files")
-        for key in _SOURCE_KEYS[self.source]:
-            if getattr(self, key) is None:
-                raise ConfigError(f"{self.source} source requires {key}")
-        if self.mode == "completion" and (self.alpha is None or self.beta is None):
-            raise ConfigError("completion requires alpha and beta")
-        for point in _point_configs(self, self.sweep_values) if self.sweep_axis else [self]:
-            point._check_values()
-        for key in ("matrix_file", "image_file", "counts_file", "obs_file",
-                    "y_file", "ensemble_file"):
+            # fixed counts are one draw, through one mask set, of one truth
+            if (self.obs_file or self.y_file) and (self.sweep_axis, self.trials) != ("lambda", 1):
+                raise ConfigError("a sweep over obs_file or y_file may sweep only lambda, "
+                                  "with trials = 1")
+            if self.ensemble_file and self.sweep_axis == "m":
+                raise ConfigError("a sweep over a fixed ensemble_file may not sweep m")
+        for point in _point_configs(self, self.sweep_values) if need_sweep else [self]:
+            point._check_point(single=not need_sweep)
+        for key in [f.name for f in dataclasses.fields(self) if f.name.endswith("_file")]:
             path = getattr(self, key)
             if path is not None and not os.path.exists(path):
                 raise ConfigError(f"{key} = {path!r} does not exist")
 
-    def _check_values(self):
-        """Reject the values the config alone rules out, before any work."""
+    def _check_point(self, single):
+        """Reject what one point rules out: its owners' table rows, its values."""
+        if self.mode == "recovery" and self.solver != "pmlsvt":
+            # their fixed step 1/L uses the completion constant alpha/beta**2,
+            # which with recovery's box leaves the iterate where it started
+            raise ConfigError(f"solver = {self.solver} supports completion only; "
+                              "use solver = pmlsvt for recovery")
+        owners = [self.source, self.mode, self.solver]
+        if self.obs_file is not None:
+            owners.append("obs_file")
+        if single:
+            owners.append(_SINGLE)
+        for owner in owners:
+            for need in _REQUIRES.get(owner, ()):
+                if all(getattr(self, name) is None for name in need.split(" or ")):
+                    raise ConfigError(f"{owner} requires {need}")
+            for name in _UNREAD_KEYS.get(owner, ()):
+                if _is_set(self, name):
+                    key = _FIELD_KEYS.get(name, name)
+                    raise ConfigError(f"{owner} never reads config key {key!r}")
         for keys, ok, need in _RANGES:
             for key in keys:
                 value = getattr(self, key)
@@ -227,14 +227,9 @@ class ExperimentConfig:
         if self.alpha is not None and self.beta is not None and self.beta >= self.alpha:
             raise ConfigError(f"config key 'beta' must lie below alpha = {self.alpha!r}, "
                               f"got {self.beta!r}")
-        if self.mode == "recovery":
-            # recovery m counts masks; completion's m is an expected count
-            if self.m is not None and not float(self.m).is_integer():
-                raise ConfigError(f"recovery m must be a whole number, got {self.m!r}")
-            if self.m is None and self.ensemble_file is None:
-                raise ConfigError("recovery requires m or ensemble_file")
-        elif self.m is None and self.p_obs is None and self.obs_file is None:
-            raise ConfigError("completion requires m or p_obs")
+        # recovery m counts masks; completion's m is an expected count
+        if self.mode == "recovery" and self.m is not None and not float(self.m).is_integer():
+            raise ConfigError(f"recovery m must be a whole number, got {self.m!r}")
         _solver_config(self)
 
 
@@ -252,7 +247,9 @@ _RANGES = (
 
 def _is_set(ec, name):
     """A key counts as set when its field differs from the dataclass default."""
-    return getattr(ec, name) != ExperimentConfig.__dataclass_fields__[name].default
+    f = ExperimentConfig.__dataclass_fields__[name]
+    default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+    return getattr(ec, name) != default
 
 
 def _point_configs(ec, values):
@@ -602,7 +599,7 @@ def main(argv=None):
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be a positive integer, got {args.threads}")
         return cmd_sweep(ec, args.out)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"plr {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except SolverAbort as exc:

@@ -83,6 +83,20 @@ def read_outputs(out_dir, skip_wall_time=True):
     return out
 
 
+def recovery_file_cfg(tmp_path, lines, name="file.cfg"):
+    """A recovery on the output of RECOVERY_CFG's synth, made once in
+    ``tmp_path / "full"``: its M.csv as a matrix source, RECOVERY_CFG's
+    box, seed and solver settings, plus ``lines``."""
+    if not (tmp_path / "full").exists():
+        assert main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
+                     "--out", str(tmp_path / "full")]) == 0
+    return write_cfg(tmp_path, (
+        "mode = recover\nsource = matrix\n"
+        f"matrix_file = {tmp_path / 'full' / 'M.csv'}\n"
+        "alpha = 30\nbeta = 1\nrank_budget = 2\nseed = 9\n"
+        "solver = pmlsvt\nmax_iter = 150\nstep_recip = 1e-4\n" + lines), name=name)
+
+
 class TestParseConfig:
     def test_basic_and_comments(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -144,6 +158,20 @@ class TestExperimentConfig:
         # obs_seed is derived from seed
         assert ec == ExperimentConfig(mode="recovery", source="counts", obs_seed=0)
 
+    def test_rule_tables_name_fields_and_owners(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        required = {name for needs in plr.cli._REQUIRES.values()
+                    for need in needs for name in need.split(" or ")}
+        unread = {name for names in plr.cli._UNREAD_KEYS.values() for name in names}
+        ranged = {name for names, _, _ in plr.cli._RANGES for name in names}
+        assert required | unread | ranged <= fields
+        choices = {plr.cli._ALIASES.get(c, c) for cs in plr.cli._CHOICES.values() for c in cs}
+        owners = set(plr.cli._REQUIRES) | set(plr.cli._UNREAD_KEYS)
+        # every owner is a chosen mode, source or solver, obs_file or synth/solve,
+        # and every choice has a row: none falls through the table lookups unread
+        assert owners == choices | {"obs_file", plr.cli._SINGLE}
+        assert set(plr.cli._ALIASES.values()) <= set(plr.cli._CHOICES["mode"])
+
     def test_readme_key_table_lists_every_config_key(self):
         readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
         table = readme.split("Every config key", 1)[1].split("\n\n", 2)[1]
@@ -201,21 +229,14 @@ class TestSynthSolvePipeline:
         save_dense_csv(tmp_path / "lib.csv", Mhat)
         assert (tmp_path / "r" / "Mhat.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
-    def test_recovery_regen_from_seed_matches_stored_masks(self, tmp_path):
-        cfg = write_cfg(tmp_path, RECOVERY_CFG)
-        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+    def test_recovery_config_rebuilds_the_stored_masks(self, tmp_path):
+        base = f"y_file = {tmp_path / 'full' / 'y.csv'}\nlambda = 0.01\n"
+        cfg_bin = recovery_file_cfg(
+            tmp_path, base + f"ensemble_file = {tmp_path / 'full' / 'ensemble.bin'}\n",
+            name="bin.cfg")
         assert set(os.listdir(tmp_path / "full")) == {"M.csv", "y.csv", "ensemble.bin"}
-
         # the config's m, p and seed rebuild the masks the synth stored
-        base = ("mode = recover\nsource = matrix\n"
-                f"matrix_file = {tmp_path / 'full' / 'M.csv'}\n"
-                f"y_file = {tmp_path / 'full' / 'y.csv'}\n"
-                "alpha = 30\nbeta = 1\nrank_budget = 2\nseed = 9\n"
-                "solver = pmlsvt\nmax_iter = 150\nstep_recip = 1e-4\nlambda = 0.01\n")
-        cfg_bin = write_cfg(tmp_path, base +
-                            f"ensemble_file = {tmp_path / 'full' / 'ensemble.bin'}\n",
-                            name="bin.cfg")
-        cfg_seed = write_cfg(tmp_path, base + "m = 40\np = 0.5\n", name="seed.cfg")
+        cfg_seed = recovery_file_cfg(tmp_path, base + "m = 40\np = 0.5\n", name="seed.cfg")
         assert main(["solve", "--config", cfg_bin, "--out", str(tmp_path / "rb")]) == 0
         assert main(["solve", "--config", cfg_seed, "--out", str(tmp_path / "rs")]) == 0
         assert (tmp_path / "rb" / "Mhat.csv").read_bytes() == \
@@ -284,6 +305,40 @@ class TestSweep:
         cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("lambda = 0.01\n", "") + (
             "sweep_axis = lambda\nsweep_values = 0.01,1.0\ntrials = 1\n"))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "lam")]) == 0
+
+
+class TestFixedCountSweep:
+    def test_y_file_lambda_sweep_row_equals_the_solve(self, tmp_path):
+        # masks drawn from m, p and obs_seed, as the synth that wrote y.csv drew them
+        y_file = f"y_file = {tmp_path / 'full' / 'y.csv'}\nm = 40\np = 0.5\n"
+        cfg = recovery_file_cfg(tmp_path, y_file + "lambda = 0.01\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        metrics = (tmp_path / "r" / "metrics.txt").read_text()
+        err = re.search(r"^normalized_error=(.*)$", metrics, flags=re.M).group(1)
+        cfg = recovery_file_cfg(tmp_path, y_file +
+                                "sweep_axis = lambda\nsweep_values = 0.01\ntrials = 1\n",
+                                name="sweep.cfg")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        assert (tmp_path / "s" / "sweep.csv").read_text() == f"value,mean,std\n0.01,{err},0.0\n"
+
+    @pytest.mark.parametrize("base,lines,message", [
+        (RECOVERY_CFG, f"y_file = {__file__}\nsweep_axis = lambda\nsweep_values = 0.01\n"
+         "trials = 4\n", "may sweep only lambda, with trials = 1"),
+        (RECOVERY_CFG, f"y_file = {__file__}\nsweep_axis = rho\nsweep_values = 1,2\n"
+         "trials = 1\n", "may sweep only lambda, with trials = 1"),
+        (COMPLETION_CFG.replace("m = 36\n", ""), f"obs_file = {__file__}\nsweep_axis = rho\n"
+         "sweep_values = 1,2\ntrials = 1\n", "may sweep only lambda, with trials = 1"),
+        (COMPLETION_CFG.replace("m = 36\n", ""), f"obs_file = {__file__}\nsweep_axis = m\n"
+         "sweep_values = 10,20\ntrials = 1\n", "may sweep only lambda, with trials = 1"),
+        (RECOVERY_CFG.replace("m = 40\n", ""), f"ensemble_file = {__file__}\nsweep_axis = m\n"
+         "sweep_values = 30,40\ntrials = 2\n", "ensemble_file may not sweep m")],
+        ids=["y_file_trials", "y_file_rho", "obs_file_rho", "obs_file_m", "ensemble_file_m"])
+    def test_sweep_the_files_do_not_describe_exits_2(self, tmp_path, capsys, base, lines,
+                                                     message):
+        cfg = write_cfg(tmp_path, base + lines)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 COMPLETION_SWEEPS = {
@@ -355,37 +410,18 @@ SHARING_CASES = {
 
 
 class TestSweepSharing:
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("axis", sorted(SHARING_CASES))
-    def test_builds_each_shared_input_once(self, tmp_path, monkeypatch, axis, threads):
+    def test_builds_each_shared_input_once(self, tmp_path, monkeypatch, axis):
         fixed, lines, truth_builds, ensemble_builds = SHARING_CASES[axis]
         base = RECOVERY_CFG.replace("max_iter = 150", "max_iter = 30").replace(fixed, "")
         cfg = write_cfg(tmp_path, base + lines)
         want = unshared_sweep_csv(cfg)
         truths = counting(monkeypatch, "build_ground_truth")
         ensembles = counting(monkeypatch, "build_sensing_ensemble")
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
-                     "--threads", threads]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
         assert len(truths) == truth_builds
         assert len(ensembles) == ensemble_builds
         assert (tmp_path / "s" / "sweep.csv").read_text() == want
-
-    def test_many_workers_build_each_input_once(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("max_iter = 150", "max_iter = 10") +
-                        "sweep_axis = rho\nsweep_values = 1,2,3,4\ntrials = 3\n")
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s1")]) == 0
-        truths = counting(monkeypatch, "build_ground_truth")
-        ensembles = counting(monkeypatch, "build_sensing_ensemble")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s8"),
-                         "--threads", "8"]) == 0
-        finally:
-            sys.setswitchinterval(interval)
-        assert (len(truths), len(ensembles)) == (4, 3)
-        assert (tmp_path / "s8" / "sweep.csv").read_bytes() == \
-            (tmp_path / "s1" / "sweep.csv").read_bytes()
 
     @pytest.mark.parametrize("source,reader", [("image", "read_pgm"),
                                                ("synthetic", "gen_exact_low_rank")])
@@ -441,21 +477,14 @@ class TestSweepSharing:
         assert all(thread is threading.main_thread() for thread in threads)
 
     def test_fixed_ensemble_file_is_read_once(self, tmp_path, monkeypatch):
-        main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
-              "--out", str(tmp_path / "full")])
-        cfg = write_cfg(tmp_path, (
-            "mode = recover\nsource = matrix\n"
-            f"matrix_file = {tmp_path / 'full' / 'M.csv'}\n"
+        cfg = recovery_file_cfg(tmp_path, (
             f"ensemble_file = {tmp_path / 'full' / 'ensemble.bin'}\n"
-            "alpha = 30\nbeta = 1\nrank_budget = 2\nseed = 9\n"
-            "solver = pmlsvt\nmax_iter = 30\nstep_recip = 1e-4\n"
-            "sweep_axis = lambda\nsweep_values = 0.01,0.1\ntrials = 2\n"), name="file.cfg")
+            "sweep_axis = lambda\nsweep_values = 0.01,0.1\ntrials = 2\n"))
         loads = counting(monkeypatch, "load_ensemble")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
         assert len(loads) == 1
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_holds_only_the_mask_sets_of_trials_in_flight(self, tmp_path, monkeypatch, threads):
+    def test_holds_only_the_mask_sets_of_trials_in_flight(self, tmp_path, monkeypatch):
         refs, alive = [], []
         original = plr.cli.build_sensing_ensemble
 
@@ -468,15 +497,12 @@ class TestSweepSharing:
         monkeypatch.setattr(plr.cli, "build_sensing_ensemble", tracking)
         cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("max_iter = 150", "max_iter = 10") +
                         "sweep_axis = rho\nsweep_values = 1,2,3\ntrials = 5\n")
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
-                     "--threads", str(threads)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
         assert len(refs) == 5
         # a trial's mask set is dropped before the next trial's is built
         assert max(alive) == 0
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_trial_points_share_one_read_only_ensemble_unpacked_once(
-            self, tmp_path, monkeypatch, threads):
+    def test_trial_points_share_one_read_only_ensemble_unpacked_once(self, tmp_path, monkeypatch):
         seen, unpacks = [], []
         original_solve = plr.cli.run_single_solve
         original_unpack = SensingEnsemble.indicator_matrix
@@ -497,8 +523,7 @@ class TestSweepSharing:
         monkeypatch.setattr(plr.cli, "run_single_solve", checking_solve)
         cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("max_iter = 150", "max_iter = 10") +
                         "sweep_axis = rho\nsweep_values = 1,2,3\ntrials = 2\n")
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
-                     "--threads", threads]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
         by_trial = {}
         for seed, ensemble in seen:
             by_trial.setdefault(seed, []).append(ensemble)
@@ -525,6 +550,15 @@ class TestErrorPaths:
         assert f"unknown config key '{line.split()[0]}'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key", sorted(plr.cli._CHOICES))
+    def test_unknown_choice_exits_2(self, tmp_path, capsys, key):
+        text = re.sub(rf"^{key} = .*\n", "", COMPLETION_CFG, flags=re.M)
+        cfg = write_cfg(tmp_path, text + f"{key} = Bogus\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"{key} must be one of {plr.cli._CHOICES[key]}, got 'bogus'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("key,value", [("d1", "2.5"), ("sweep_values", "1,x"),
                                            ("lambda", "big")])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, key, value):
@@ -538,8 +572,9 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path, RECOVERY_CFG + (
             "sweep_axis = p_obs\nsweep_values = 0.3,0.5\ntrials = 1\n"))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
-        assert "p_obs applies to completion only" in capsys.readouterr().err
-        assert not (tmp_path / "s" / "sweep.csv").exists()
+        # the sweep point sets p_obs, which recovery never reads
+        assert "recovery never reads config key 'p_obs'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_repeated_sweep_value_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, COMPLETION_CFG + (
@@ -607,13 +642,9 @@ class TestErrorPaths:
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_count_file_beyond_memory_exits_2_naming_it(self, tmp_path):
-        counts = tmp_path / "counts.csv"
-        counts.write_text("2000000,2000000,1\n")
-        cfg = write_cfg(tmp_path, (
-            f"mode = complete\nsource = counts\ncounts_file = {counts}\n"
-            "alpha = 10\nbeta = 1\np_obs = 0.5\n"))
-        # a 2 GB address space cannot hold the 2000000 x 2000000 matrix
+    @staticmethod
+    def _main_in_2_gb(*argv):
+        """``plr.cli.main(argv)`` in a child process with a 2 GB address space."""
         code = ("import resource, sys\n"
                 "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))\n"
@@ -623,42 +654,46 @@ class TestErrorPaths:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(
                        p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "solve", "--config", cfg, "--out", str(tmp_path / "x")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2, proc.stderr
-        assert (f"{counts}: the 2000000 x 2000000 hours-by-days matrix is too big to allocate"
-                in proc.stderr)
         assert "Traceback" not in proc.stderr
+        return proc.stderr
+
+    def test_count_file_beyond_memory_exits_2_naming_it(self, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("2000000,2000000,1\n")
+        cfg = write_cfg(tmp_path, (
+            f"mode = complete\nsource = counts\ncounts_file = {counts}\n"
+            "alpha = 10\nbeta = 1\np_obs = 0.5\n"))
+        # a 2 GB address space cannot hold the 2000000 x 2000000 matrix
+        err = self._main_in_2_gb("solve", "--config", cfg, "--out", str(tmp_path / "x"))
+        assert f"{counts}: the 2000000 x 2000000 hours-by-days matrix is too big to allocate" in err
+
+    def test_masks_beyond_memory_exit_2(self, tmp_path):
+        # 10**12 masks of 30 entries: the draw alone would take 218 TiB
+        cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("m = 40\n", "m = 1e12\n"))
+        err = self._main_in_2_gb("synth", "--config", cfg, "--out", str(tmp_path / "x"))
+        assert err.startswith("plr synth: error: Unable to allocate")
 
     @pytest.mark.parametrize("m,p,body,message", [
         (0, 0.5, b"", "m must be >= 1, got 0"),
         (1, float("nan"), b"\x00" * 4, "p must lie in (0, 1), got nan")],
         ids=["m_0", "p_nan"])
     def test_rejected_ensemble_file_exits_2(self, tmp_path, capsys, m, p, body, message):
-        main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
-              "--out", str(tmp_path / "full")])
         ensemble = tmp_path / "hand.bin"
         ensemble.write_bytes(struct.pack("<QQQdQ", 6, 5, m, p, 1) + body)
-        cfg = write_cfg(tmp_path, (
-            "mode = recover\nsource = matrix\n"
-            f"matrix_file = {tmp_path / 'full' / 'M.csv'}\nensemble_file = {ensemble}\n"
-            "alpha = 30\nbeta = 1\nrank_budget = 2\nmax_iter = 10\n"), name="hand.cfg")
+        cfg = recovery_file_cfg(tmp_path, f"ensemble_file = {ensemble}\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert f"{ensemble}: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "x" / "Mhat.csv").exists()
 
     def _file_ensemble_cfg(self, tmp_path, lines):
-        """A recovery solve on RECOVERY_CFG's synth output, masks read from
-        its 40-mask, p = 0.5 ensemble.bin, plus ``lines``."""
-        main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
-              "--out", str(tmp_path / "full")])
-        return write_cfg(tmp_path, (
-            "mode = recover\nsource = matrix\n"
-            f"matrix_file = {tmp_path / 'full' / 'M.csv'}\n"
-            f"ensemble_file = {tmp_path / 'full' / 'ensemble.bin'}\n"
-            "alpha = 30\nbeta = 1\nrank_budget = 2\nmax_iter = 10\n" + lines), name="file.cfg")
+        """recovery_file_cfg with masks read from its 40-mask, p = 0.5
+        ensemble.bin, plus ``lines``."""
+        return recovery_file_cfg(
+            tmp_path, f"ensemble_file = {tmp_path / 'full' / 'ensemble.bin'}\n" + lines)
 
     @pytest.mark.parametrize("lines,message", [
         ("m = 999\n", "the masks have m = 40, but the config sets m = 999.0"),
@@ -691,15 +726,9 @@ class TestErrorPaths:
         (lambda lines: lines[:-1], "y.csv: 39 counts, but the ensemble has m=40")],
         ids=["fractional", "negative", "short"])
     def test_bad_y_file_exits_2_naming_its_line(self, tmp_path, capsys, edit, message):
-        main(["synth", "--config", write_cfg(tmp_path, RECOVERY_CFG),
-              "--out", str(tmp_path / "full")])
         y_file = tmp_path / "full" / "y.csv"
+        cfg = self._file_ensemble_cfg(tmp_path, f"y_file = {y_file}\n")
         y_file.write_text("\n".join(edit(y_file.read_text().splitlines())) + "\n")
-        cfg = write_cfg(tmp_path, (
-            "mode = recover\nsource = matrix\n"
-            f"matrix_file = {tmp_path / 'full' / 'M.csv'}\n"
-            f"y_file = {y_file}\nensemble_file = {tmp_path / 'full' / 'ensemble.bin'}\n"
-            "alpha = 30\nbeta = 1\nrank_budget = 2\nmax_iter = 10\n"), name="y.cfg")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert f"{tmp_path / 'full'}{os.sep}{message}" in err and "Traceback" not in err
@@ -716,10 +745,11 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("solver", ["proximal", "accelerated"])
     def test_lambda_sweep_rejects_fixed_step_solvers(self, tmp_path, capsys, solver):
-        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("solver = pmlsvt", f"solver = {solver}") +
+        # only the sweep points set lambda
+        cfg = write_cfg(tmp_path, fixed_step_cfg(solver) +
                         "sweep_axis = lambda\nsweep_values = 0.001,0.1\ntrials = 1\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
-        assert "sweeping lambda needs solver = pmlsvt" in capsys.readouterr().err
+        assert f"{solver} never reads config key 'lambda'" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("mode,key", [
@@ -748,16 +778,31 @@ class TestErrorPaths:
         assert f"{solver} never reads config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_sweep_solver_abort_exits_3(self, tmp_path, capsys, monkeypatch, threads):
+    @pytest.mark.parametrize("command,base,line,owner,key", [
+        ("solve", COMPLETION_CFG, f"obs_file = {__file__}\n", "obs_file", "m"),
+        ("solve", COMPLETION_CFG.replace("m = 36\n", "p_obs = 0.1\n"),
+         f"obs_file = {__file__}\n", "obs_file", "p_obs"),
+        ("synth", COMPLETION_CFG, "trials = 3\n", "a single experiment", "trials"),
+        ("solve", COMPLETION_CFG, "trials = 3\n", "a single experiment", "trials"),
+        ("synth", COMPLETION_CFG, "sweep_values = 1,2\n", "a single experiment", "sweep_values"),
+        ("solve", COMPLETION_CFG, "sweep_values = 1,2\n", "a single experiment", "sweep_values")],
+        ids=["obs_file_m", "obs_file_p_obs", "synth_trials", "solve_trials", "synth_values",
+             "solve_values"])
+    def test_key_a_single_run_never_reads_exits_2(self, tmp_path, capsys, command, base, line,
+                                                  owner, key):
+        cfg = write_cfg(tmp_path, base + line)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"{owner} never reads config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_sweep_solver_abort_exits_3(self, tmp_path, capsys, monkeypatch):
         def aborting_pmlsvt(obj, fset, X0=None, config=None):
             raise SolverAbort("backtracking diverged", None, SolverTrace())
 
         monkeypatch.setattr(plr.cli, "pmlsvt", aborting_pmlsvt)
         cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("m = 40\n", "") + (
             "sweep_axis = m\nsweep_values = 30,40\ntrials = 2\n"))
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
-                     "--threads", threads]) == 3
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 3
         err = capsys.readouterr().err
         assert "plr sweep: aborted at value=30.0, trial=0: backtracking diverged" in err
         assert "Traceback" not in err

@@ -58,7 +58,7 @@ class TestGenWeakLq:
 
     def test_decay_within_factor_two(self):
         spec = WeakLqSpec(q=0.5, rho=0.8, total_intensity=300.0, dims=(8, 8))
-        M = gen_weak_lq(spec, seed=4, decay_slack=2.0)
+        M = gen_weak_lq(spec, seed=4)
         sigma = np.linalg.svd(M, compute_uv=False)
         bound = 2.0 * spec.rho * 300.0 * np.arange(1, 9) ** (-2.0)
         assert np.all(sigma <= bound + 1e-9)
