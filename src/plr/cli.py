@@ -230,6 +230,11 @@ class ExperimentConfig:
         # recovery m counts masks; completion's m is an expected count
         if self.mode == "recovery" and self.m is not None and not float(self.m).is_integer():
             raise ConfigError(f"recovery m must be a whole number, got {self.m!r}")
+        if self.mode == "completion" and self.source == "counts" and self.rho != 1.0:
+            # the file's counts are the observations: rint(rho * counts) would
+            # thin them deterministically rather than draw Poisson counts
+            raise ConfigError("config key 'rho' must be 1 for completion from a counts "
+                              f"file, whose counts are the observations; got {self.rho!r}")
         _solver_config(self)
 
 

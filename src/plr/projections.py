@@ -1,10 +1,17 @@
-"""Constraint-set maps: box clamp, nuclear-ball projection, positive rescale,
-alternating projection onto the box/nuclear intersection, and singular value
-thresholding."""
+"""Constraint-set maps: box clamp, positive rescale, and the nuclear-norm maps.
+
+Every nuclear-norm map takes one spectral step: a thin SVD, then a shrink of
+the singular values by a common threshold, floored at 0.  Singular value
+thresholding (:func:`svt`, and PMLSVT's inner step) shrinks by a given
+``tau``; the nuclear-ball projection (:func:`project_nuclear_ball`, and each
+sweep of the alternating projection onto the box/nuclear intersection)
+shrinks by the threshold that lands the singular values' sum on the radius.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,22 +30,43 @@ def svd_factors(X):
             f"(|X|_max={np.abs(X).max():.3e}): {exc}") from exc
 
 
+def _shrink(U, s, Vt, tau):
+    """Recompose the factors with every singular value shrunk by ``tau``,
+    floored at 0."""
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
+
+
+def _ball_threshold(s, radius):
+    """Threshold that shrinks a nonincreasing nonnegative vector with
+    sum > radius onto the l1 ball of that radius."""
+    cumsum = np.cumsum(s)
+    js = np.arange(1, s.size + 1)
+    # Largest index with s_j > (cumsum_j - radius)/j; ties resolve to it.
+    valid = s * js > cumsum - radius
+    rho = int(np.nonzero(valid)[0].max()) + 1
+    return (cumsum[rho - 1] - radius) / rho
+
+
+def _nuclear_step(X, radius):
+    """Nuclear-ball projection of a validated matrix; ``X`` itself when inside.
+
+    Since ||X||_* <= sqrt(min(d1, d2)) * ||X||_F, a matrix whose Frobenius
+    norm is within ``radius / sqrt(min(d1, d2))`` is inside the ball and
+    costs no SVD.
+    """
+    if np.linalg.norm(X) <= radius / math.sqrt(min(X.shape)):
+        return X
+    U, s, Vt = svd_factors(X)
+    if s.sum() <= radius:
+        return X
+    return _shrink(U, s, Vt, _ball_threshold(s, radius))
+
+
 def project_box(X, alpha, beta):
     """Entry-wise clamp onto the box [beta, alpha]."""
     if not beta < alpha:
         raise ValueError(f"need beta < alpha, got beta={beta}, alpha={alpha}")
     return np.clip(as_matrix(X), beta, alpha)
-
-
-def _l1_threshold_sorted(u, radius):
-    """Soft threshold for a nonincreasing nonnegative vector with sum > radius."""
-    cumsum = np.cumsum(u)
-    js = np.arange(1, u.size + 1)
-    # Largest index with u_j > (cumsum_j - radius)/j; ties resolve to it.
-    valid = u * js > cumsum - radius
-    rho = int(np.nonzero(valid)[0].max()) + 1
-    theta = (cumsum[rho - 1] - radius) / rho
-    return np.maximum(u - theta, 0.0)
 
 
 def project_l1_ball(v, radius):
@@ -55,23 +83,18 @@ def project_l1_ball(v, radius):
         raise ValueError("expected nonnegative entries (singular values)")
     if v.sum() <= radius:
         return v.copy()
-    order = np.argsort(v)[::-1]
-    out = np.empty_like(v)
-    out[order] = _l1_threshold_sorted(v[order], radius)
-    return out
+    return np.maximum(v - _ball_threshold(np.sort(v)[::-1], radius), 0.0)
 
 
 def project_nuclear_ball(X, radius):
     """Projection onto the nuclear-norm ball of the given radius.
 
-    Projects the singular values onto the l1 ball and recomposes; returns
-    ``X`` itself when it is already inside the ball.
+    Shrinks the singular values onto the l1 ball and recomposes; a matrix
+    already inside the ball comes back as an unchanged copy.
     """
-    X = as_matrix(X)
-    U, s, Vt = svd_factors(X)
-    if s.sum() <= radius:
-        return X.copy()
-    return (U * project_l1_ball(s, radius)) @ Vt
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    return _nuclear_step(as_matrix(X), radius).copy()
 
 
 def positive_rescale(Z, total_intensity):
@@ -99,12 +122,10 @@ def svt(Z, tau):
     Z = as_matrix(Z)
     if tau == 0:
         return Z.copy()
-    U, s, Vt = svd_factors(Z)
-    return (U * np.maximum(s - tau, 0.0)) @ Vt
+    return _shrink(*svd_factors(Z), tau)
 
 
-@dataclass
-class AlternatingProjectResult:
+class AlternatingProjectResult(NamedTuple):
     """Output of :func:`alternating_project`."""
 
     matrix: np.ndarray
@@ -114,25 +135,15 @@ class AlternatingProjectResult:
 
 
 def _alternating_body(U, alpha, beta, radius, tol, max_iter):
-    """Unvalidated alternating-projection loop shared with the solvers.
-
-    Since ||U||_* <= sqrt(min(d1, d2)) * ||U||_F, a sweep whose Frobenius
-    norm is within ``radius / sqrt(min(d1, d2))`` is inside the nuclear ball
-    and skips the SVD.
-    """
-    inside = radius / np.sqrt(min(U.shape))
+    """Unvalidated alternating-projection loop shared with the solvers."""
     gap = np.inf
     for it in range(1, max_iter + 1):
-        if np.linalg.norm(U) <= inside:
-            V = U
-        else:
-            Un, s, Vt = np.linalg.svd(U, full_matrices=False)
-            V = (Un * _l1_threshold_sorted(s, radius)) @ Vt if s.sum() > radius else U
+        V = _nuclear_step(U, radius)
         U = np.clip(V, beta, alpha)
         gap = float(np.linalg.norm(V - U))
         if gap <= tol:
-            return U, it, gap, True
-    return U, max_iter, gap, False
+            return AlternatingProjectResult(U, it, gap, True)
+    return AlternatingProjectResult(U, max_iter, gap, False)
 
 
 def alternating_project(U0, fset, tol=1e-8, max_iter=10_000):
@@ -146,8 +157,8 @@ def alternating_project(U0, fset, tol=1e-8, max_iter=10_000):
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     U = as_matrix(U0)
-    radius = fset.nuclear_radius(*U.shape)
-    U, it, gap, converged = _alternating_body(U, fset.alpha, fset.beta, radius,
-                                              tol, max_iter)
-    return AlternatingProjectResult(matrix=U, iterations=it, gap=gap, converged=converged)
+    return _alternating_body(U, fset.alpha, fset.beta, fset.nuclear_radius(*U.shape),
+                             tol, max_iter)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import DegenerateInputError, RateFloorError, SolverTrace, as_matrix
 from .objectives import MIN_RATE_FLOOR, quadratic_model
-from .projections import (_alternating_body, positive_rescale, project_box,
-                          svd_factors)
+from .projections import (_alternating_body, _shrink, positive_rescale,
+                          project_box, svd_factors)
 from .sensing import apply_adjoint
 
 # Backtracking gives up once the curvature estimate exceeds this; with a
@@ -90,7 +90,7 @@ def _generic_strategy(fset):
     the box/nuclear intersection (the final half-sweep is the box clamp)."""
     def onto_intersection(X):
         radius = fset.nuclear_radius(*X.shape)
-        return _alternating_body(X, fset.alpha, fset.beta, radius, 1e-8, 10_000)[0]
+        return _alternating_body(X, fset.alpha, fset.beta, radius, 1e-8, 10_000).matrix
 
     return onto_intersection
 
@@ -207,7 +207,7 @@ def pmlsvt(obj, fset, X0=None, config=None, feasible_map=None):
             C = X - G / t
             U, s, Vt = svd_factors(C)
             try:
-                X_new = feasible_map((U * np.maximum(s - lam / t, 0.0)) @ Vt)
+                X_new = feasible_map(_shrink(U, s, Vt, lam / t))
                 f_new = obj.value(X_new)
                 Q = quadratic_model(f_cur, G, X_new, X, t)
             except (RateFloorError, DegenerateInputError):

@@ -109,13 +109,18 @@ def test_criterion_04_convergence_envelopes():
     fset = FeasibleSet(alpha=20.0, beta=1.0, rank_budget=2)
     M = gen_exact_low_rank(6, 6, 2, fset, seed=42)
     obs = sample_completion_observations(M, 36.0, seed=43)
-    assert len(obs) == 36
     obj = completion_objective(obs, fset)
     X0 = np.full((6, 6), 0.5 * (fset.alpha + fset.beta))
     L = fset.lipschitz()
 
-    Xstar, _ = accelerated_proximal_gradient(
-        obj, fset, X0, SolverConfig(max_iter=10**6, mode="completion"))
+    # With every entry observed the objective separates into x - y log x per
+    # entry, minimized over [beta, alpha] at clip(y); that point lies inside
+    # the nuclear ball, so it is the constrained minimizer.
+    assert len(obs) == 36
+    Y = np.zeros((6, 6))
+    Y[obs.rows, obs.cols] = obs.counts
+    Xstar = np.clip(Y, fset.beta, fset.alpha)
+    assert np.linalg.svd(Xstar, compute_uv=False).sum() < fset.nuclear_radius(6, 6)
     fstar = obj.value(Xstar)
     D0 = squared_error(X0, Xstar)
 
@@ -130,7 +135,7 @@ def test_criterion_04_convergence_envelopes():
     gap_acc = np.array(tr_acc.objective_values) - fstar
     assert np.all(gap_acc <= 2.0 * L * D0 / (ks + 1.0) ** 2 + 1e-9)
     elapsed = time.perf_counter() - start
-    assert elapsed < 120.0
+    assert elapsed < 10.0
     margin_pg = float(np.min(L * D0 / (2.0 * ks) - gap_pg))
     margin_acc = float(np.min(2.0 * L * D0 / (ks + 1.0) ** 2 - gap_acc))
     report(4, "convergence envelopes", elapsed,

@@ -58,6 +58,22 @@ step_scale = 1.1
 lambda = 0.01
 """
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data")
+
+BIKE_CFG = f"""\
+mode = complete
+source = counts
+counts_file = {DATA}/bike_toy.csv
+alpha = 1000
+beta = 1
+p_obs = 0.5
+seed = 4
+solver = pmlsvt
+max_iter = 100
+step_recip = 1e-4
+lambda = 10
+"""
+
 
 def fixed_step_cfg(solver):
     """COMPLETION_CFG run by ``solver``, without the keys only pmlsvt reads."""
@@ -269,12 +285,8 @@ class TestSynthSolvePipeline:
         M = load_dense_csv(tmp_path / "img" / "M.csv")
         assert M.shape == (64, 36)
 
-    def test_counts_source_reports_observed_fit(self, tmp_path, data_dir):
-        cfg = write_cfg(tmp_path, (
-            "mode = complete\nsource = counts\n"
-            f"counts_file = {data_dir}/bike_toy.csv\n"
-            "alpha = 1000\nbeta = 1\np_obs = 0.5\nseed = 4\n"
-            "solver = pmlsvt\nmax_iter = 100\nstep_recip = 1e-4\nlambda = 10\n"))
+    def test_counts_source_reports_observed_fit(self, tmp_path):
+        cfg = write_cfg(tmp_path, BIKE_CFG)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "bike")]) == 0
         metrics = (tmp_path / "bike" / "metrics.txt").read_text()
         assert "R_observed=" in metrics and "kl=nan" in metrics
@@ -619,10 +631,16 @@ class TestErrorPaths:
          "config key 'p_obs' must lie in (0, 1], got 1.5"),
         ("sweep", RECOVERY_CFG.replace("m = 40\n", ""),
          "sweep_axis = m\nsweep_values = 0,40\ntrials = 1\n",
-         "config key 'm' must be positive, got 0.0")],
+         "config key 'm' must be positive, got 0.0"),
+        ("solve", BIKE_CFG, "rho = 0.5\n",
+         "config key 'rho' must be 1 for completion from a counts file, whose counts are "
+         "the observations; got 0.5"),
+        ("sweep", BIKE_CFG, "sweep_axis = rho\nsweep_values = 1,2\ntrials = 1\n",
+         "config key 'rho' must be 1 for completion from a counts file, whose counts are "
+         "the observations; got 2.0")],
         ids=["p_obs", "completion_m", "recovery_m", "max_iter", "step_scale", "step_recip", "p",
              "rho", "rank_budget", "beta", "seed", "no_m", "lambda_sweep", "p_obs_sweep",
-             "m_sweep"])
+             "m_sweep", "counts_rho", "counts_rho_sweep"])
     def test_value_the_config_rules_out_exits_2_before_any_work(
             self, tmp_path, capsys, command, base, lines, message):
         for key in re.findall(r"^(\w+) =", lines, flags=re.M):

@@ -73,6 +73,11 @@ class TestProjectNuclearBall:
         got = project_nuclear_ball(5.0 * np.outer(u, v), 2.0)
         assert np.allclose(got, 2.0 * np.outer(u, v), atol=1e-10)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_rejects_nonpositive_radius(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            project_nuclear_ball(np.eye(2), radius)
+
     def test_nonexpansive_and_idempotent(self):
         rng = seeded_rng(4)
         for _ in range(30):
@@ -193,3 +198,19 @@ class TestAlternatingProject:
         X[0, 0] = 12.0
         res = alternating_project(X, self.fs, tol=1e-12, max_iter=1)
         assert not res.converged and res.iterations == 1 and res.gap > 1e-12
+
+    def test_one_sweep_is_the_clamped_nuclear_projection(self):
+        X = seeded_rng(11).uniform(0.0, 30.0, (6, 5))
+        radius = self.fs.nuclear_radius(6, 5)
+        assert np.linalg.svd(X, compute_uv=False).sum() > radius  # the ball binds
+        got = alternating_project(X, self.fs, max_iter=1).matrix
+        want = np.clip(project_nuclear_ball(X, radius), self.fs.beta, self.fs.alpha)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(max_iter=0), "max_iter must be >= 1, got 0"),
+        (dict(tol=0.0), "tol must be positive, got 0.0")], ids=["max_iter", "tol"])
+    def test_rejects_bad_loop_settings(self, kwargs, message):
+        # a 3x3 matrix of 50s lies outside the box [1, 10]: no sweep may be skipped
+        with pytest.raises(ValueError, match=message):
+            alternating_project(np.full((3, 3), 50.0), self.fs, **kwargs)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+import plr.solvers
 from plr.core import CompletionObservations, FeasibleSet, RateFloorError, seeded_rng
 from plr.objectives import (CompletionObjective, RecoveryObjective, completion_objective,
                             recovery_objective)
-from plr.projections import positive_rescale
+from plr.projections import positive_rescale, svt
 from plr.sensing import apply_adjoint, build_sensing_ensemble, sample_compressive_counts
 from plr.solvers import (SolverAbort, SolverConfig, accelerated_proximal_gradient,
                          default_init, pmlsvt, proximal_gradient, select_lambda_default)
 from plr.synthdata import gen_exact_low_rank, sample_completion_observations
+from test_objectives import count_calls
 
 
 def full_observation(M, seed):
@@ -178,6 +180,14 @@ class TestFixedStep:
         assert err.value.trace.iterations_run == k
         assert err.value.matrix.tobytes() == X_k.tobytes()
 
+    def test_each_feasibility_map_is_one_alternating_projection(self, solver, monkeypatch):
+        # plr.solvers._alternating_body is the hook of perfbench's
+        # projections.alt spans: one call for the start, one per iteration
+        fset, obj, X0 = small_completion()
+        calls = count_calls(monkeypatch, plr.solvers, "_alternating_body")
+        _, trace = solver(obj, fset, X0, SolverConfig(max_iter=7, mode="completion"))
+        assert len(calls) == trace.iterations_run + 1 == 8
+
     def test_rejects_recovery(self, solver):
         M = seeded_rng(9).uniform(1.0, 5.0, (5, 4))
         fset = FeasibleSet(alpha=M.sum(), beta=1e-6, rank_budget=2,
@@ -229,6 +239,20 @@ class TestPmlsvt:
         want = X0 - obj.gradient(X0) / t
         assert np.allclose(X, want, atol=1e-10)
         assert trace.step_control == [t]
+
+    def test_single_step_is_svt_of_the_gradient_step(self):
+        # the shrink pmlsvt takes is the svt that the acceptance suite checks,
+        # at whatever t backtracking settled on
+        fset = FeasibleSet(alpha=20.0, beta=1.0, rank_budget=2)
+        M = seeded_rng(5).uniform(5.0, 15.0, (4, 4))
+        obj = completion_objective(full_observation(M, 6), fset)
+        X0 = np.full((4, 4), 10.0)
+        cfg = SolverConfig(max_iter=1, step_recip=1e-2, penalty=0.5, mode="completion")
+        X, trace = pmlsvt(obj, fset, X0=X0, config=cfg, feasible_map=lambda Z: Z)
+        t = trace.step_control[0]
+        want = svt(X0 - obj.gradient(X0) / t, cfg.penalty / t)
+        assert X.tobytes() == want.tobytes()
+        assert t > cfg.step_recip and np.linalg.matrix_rank(X) < 4
 
     def test_rank_one_noiseless_completion(self):
         # integer-valued rank-1 truth observed everywhere without noise
