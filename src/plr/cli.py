@@ -63,8 +63,13 @@ _REQUIRES = {"synthetic": ("d1", "d2", "rank", "alpha", "beta"), "matrix": ("mat
              "recovery": ("m or ensemble_file",)}
 # owner -> the ExperimentConfig fields it never reads
 _FIXED_STEP_UNREAD = ("penalty", "step_recip", "step_scale")
-_UNREAD_KEYS = {"recovery": ("p_obs", "obs_file"),
-                "completion": ("p", "total_intensity", "y_file", "ensemble_file"),
+_UNREAD_KEYS = {"synthetic": ("matrix_file", "image_file", "patch_h", "patch_w", "trunc_rank",
+                              "counts_file"),
+                "matrix": ("d1", "d2", "image_file", "patch_h", "patch_w", "counts_file"),
+                "image": ("d1", "d2", "matrix_file", "counts_file"),
+                "counts": ("d1", "d2", "matrix_file", "image_file", "patch_h", "patch_w"),
+                "recovery": ("p_obs", "obs_file"),
+                "completion": ("p", "total_intensity", "entry_floor", "y_file", "ensemble_file"),
                 "pmlsvt": ("tol",),
                 "proximal": _FIXED_STEP_UNREAD, "accelerated": _FIXED_STEP_UNREAD,
                 "obs_file": ("m", "p_obs"),

@@ -38,11 +38,17 @@ class DegenerateInputError(ValueError):
     """Input is degenerate for the requested operation (e.g. no positive part)."""
 
 
-def as_matrix(X):
-    """Coerce to a 2-d float64 array, rejecting non-finite entries."""
+def as_matrix(X, shape=None):
+    """Coerce to a 2-d float64 array, rejecting non-finite entries.
+
+    With ``shape`` given, any other shape raises :class:`ShapeMismatchError`
+    naming both; this is the one place a matrix argument's shape is checked.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-d matrix, got ndim={X.ndim}")
+    if shape is not None and X.shape != tuple(shape):
+        raise ShapeMismatchError(f"matrix shape {X.shape} does not match {tuple(shape)}")
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix contains non-finite entries")
     return X
@@ -156,17 +162,22 @@ class CompressiveObservations:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration audit record of a solver run."""
+    """Per-iteration audit record of a solver run: one objective value and
+    one step control per accepted iteration, and how the run ended
+    (``"max_iter"``, ``"tolerance"``, or ``"aborted"`` on a trace carried by
+    ``SolverAbort``)."""
 
     objective_values: list = field(default_factory=list)
     step_control: list = field(default_factory=list)
-    iterations_run: int = 0
-    terminated_by: str = "max_iter"  # "max_iter" | "tolerance"
+    terminated_by: str = "max_iter"
+
+    @property
+    def iterations_run(self):
+        return len(self.objective_values)
 
     def record(self, objective, t):
         self.objective_values.append(float(objective))
         self.step_control.append(float(t))
-        self.iterations_run += 1
 
     def to_csv(self, path):
         """Write ``iter,objective,t`` rows for plotting/auditing."""
@@ -217,11 +228,11 @@ def validate_membership(X, fset, which):
         if low.any():
             i, j = np.unravel_index(int(np.argmax(low)), X.shape)
             report.violations.append(
-                f"entry ({i}, {j}) = {X[i, j]!r} below lower bound {fset.beta}")
+                f"entry ({i}, {j}) = {float(X[i, j])!r} below lower bound {fset.beta}")
         if high.any():
             i, j = np.unravel_index(int(np.argmax(high)), X.shape)
             report.violations.append(
-                f"entry ({i}, {j}) = {X[i, j]!r} above upper bound {fset.alpha}")
+                f"entry ({i}, {j}) = {float(X[i, j])!r} above upper bound {fset.alpha}")
 
     def _check_nuclear():
         radius = fset.nuclear_radius(d1, d2)
@@ -240,7 +251,7 @@ def validate_membership(X, fset, which):
         neg = X < -ABS_TOL_ENTRY
         if neg.any():
             i, j = np.unravel_index(int(np.argmax(neg)), X.shape)
-            report.violations.append(f"entry ({i}, {j}) = {X[i, j]!r} is negative")
+            report.violations.append(f"entry ({i}, {j}) = {float(X[i, j])!r} is negative")
         total = float(np.abs(X).sum())
         target = fset.total_intensity
         if abs(total - target) > REL_TOL_NORM * max(abs(target), 1.0):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShapeMismatchError, as_matrix
+from .core import as_matrix
 from .sensing import xi_p_value
 
 # Below this the exact ratio T / (1 - e^{-T}) is evaluated by series.
@@ -22,9 +22,7 @@ _SERIES_CUTOFF = 1e-8
 def squared_error(M, Mhat):
     """Squared Frobenius error ||M - Mhat||_F^2."""
     M = as_matrix(M)
-    Mhat = as_matrix(Mhat)
-    if M.shape != Mhat.shape:
-        raise ShapeMismatchError(f"shape mismatch: {M.shape} vs {Mhat.shape}")
+    Mhat = as_matrix(Mhat, M.shape)
     D = M - Mhat
     return float(np.sum(D * D))
 
@@ -42,9 +40,7 @@ def kl_poisson(p, q):
 def kl_matrix(P, Q):
     """Entry-wise Poisson KL divergence averaged over the d1*d2 entries."""
     P = as_matrix(P)
-    Q = as_matrix(Q)
-    if P.shape != Q.shape:
-        raise ShapeMismatchError(f"shape mismatch: {P.shape} vs {Q.shape}")
+    Q = as_matrix(Q, P.shape)
     return float(np.mean(kl_poisson(P, Q)))
 
 
@@ -64,9 +60,7 @@ def hellinger_poisson(p, q):
 def hellinger_matrix(P, Q):
     """Entry-wise squared Hellinger distance averaged over the d1*d2 entries."""
     P = as_matrix(P)
-    Q = as_matrix(Q)
-    if P.shape != Q.shape:
-        raise ShapeMismatchError(f"shape mismatch: {P.shape} vs {Q.shape}")
+    Q = as_matrix(Q, P.shape)
     return float(np.mean(hellinger_poisson(P, Q)))
 
 

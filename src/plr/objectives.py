@@ -27,10 +27,10 @@ def quadratic_model(f_val, grad, X, X_prev, t):
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    X = as_matrix(X)
     X_prev = as_matrix(X_prev)
-    if X.shape != X_prev.shape or X.shape != np.shape(grad):
-        raise ShapeMismatchError("quadratic model operands must share one shape")
+    X = as_matrix(X, X_prev.shape)
+    if np.shape(grad) != X.shape:
+        raise ShapeMismatchError(f"gradient shape {np.shape(grad)} does not match {X.shape}")
     D = X - X_prev
     return float(f_val + np.vdot(grad, D) + 0.5 * t * np.sum(D * D))
 
@@ -55,7 +55,7 @@ class CompletionObjective:
         if vals.size and not vals.min() >= self.rate_floor:
             k = int(np.argmin(vals))
             raise RateFloorError(
-                f"entry ({obs.rows[k]}, {obs.cols[k]}) = {vals[k]!r} is below the "
+                f"entry ({obs.rows[k]}, {obs.cols[k]}) = {float(vals[k])!r} is below the "
                 f"rate floor {self.rate_floor!r}", index=(int(obs.rows[k]), int(obs.cols[k])))
         return vals
 
@@ -93,39 +93,42 @@ class RecoveryObjective:
     def __init__(self, ensemble, y, rate_floor):
         self.ensemble = ensemble
         self.y = np.asarray(y, dtype=np.float64)
+        if self.y.shape != (ensemble.m,):
+            raise ShapeMismatchError(
+                f"count vector shape {self.y.shape} does not match ensemble size m={ensemble.m}")
         self.rate_floor = rate_floor
+        self._pos = self.y > 0
+        self._y_pos = self.y[self._pos]
         self._last = None  # (copy of X, apply_forward(ensemble, X))
 
     def _rates(self, X):
-        """The rates [AX]_i, checked against the floor, and the mask y > 0."""
+        """The rates [AX]_i, and those of the positive counts, checked
+        against the floor."""
         last = self._last
         if last is not None and np.array_equal(X, last[0]):
             rates = last[1]
         else:
             rates = apply_forward(self.ensemble, X)
             self._last = (np.array(X, dtype=np.float64), rates)
-        y = self.y
-        if y.shape != rates.shape:
-            raise ShapeMismatchError(f"count vector length {y.shape} != m={rates.shape}")
-        pos = y > 0
-        if pos.any() and rates[pos].min() < self.rate_floor:
-            k = int(np.nonzero(pos)[0][np.argmin(rates[pos])])
+        pos_rates = rates[self._pos]
+        if pos_rates.size and pos_rates.min() < self.rate_floor:
+            k = int(np.nonzero(self._pos)[0][np.argmin(pos_rates)])
             raise RateFloorError(
-                f"measurement {k} has count {y[k]} but rate {rates[k]!r} below the "
+                f"measurement {k} has count {self.y[k]} but rate {float(rates[k])!r} below the "
                 f"floor {self.rate_floor!r}", index=k)
-        return rates, pos
+        return rates, pos_rates
 
     def value(self, X):
         """f(X) = sum_i [AX]_i - y_i * log [AX]_i, with zero-count terms
         contributing only their rate."""
-        rates, pos = self._rates(X)
-        return float(rates.sum() - (self.y[pos] * np.log(rates[pos])).sum())
+        rates, pos_rates = self._rates(X)
+        return float(rates.sum() - (self._y_pos * np.log(pos_rates)).sum())
 
     def gradient(self, X):
         """The adjoint sum_i (1 - y_i/[AX]_i) A_i."""
-        rates, pos = self._rates(X)
+        rates, pos_rates = self._rates(X)
         coeff = np.ones_like(rates)
-        coeff[pos] = 1.0 - self.y[pos] / rates[pos]
+        coeff[self._pos] = 1.0 - self._y_pos / pos_rates
         return apply_adjoint(self.ensemble, coeff)
 
 

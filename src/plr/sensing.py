@@ -91,10 +91,7 @@ def apply_forward(ensemble, X):
     Nonnegative input gives nonnegative output, and the total measured
     intensity never exceeds the total intensity of the signal.
     """
-    X = as_matrix(X)
-    if X.shape != ensemble.shape:
-        raise ShapeMismatchError(
-            f"matrix shape {X.shape} does not match ensemble shape {ensemble.shape}")
+    X = as_matrix(X, ensemble.shape)
     return ensemble.indicator_matrix() @ X.ravel() / ensemble.m
 
 
@@ -112,7 +109,7 @@ def sample_compressive_counts(ensemble, M, seed):
     """Draw y_i ~ Poisson([AM]_i) independently; rate 0 yields count 0."""
     rates = apply_forward(ensemble, M)
     if rates.min() < -1e-12:
-        raise ValueError(f"negative Poisson rate {rates.min()!r} from the forward map")
+        raise ValueError(f"negative Poisson rate {float(rates.min())!r} from the forward map")
     rates = np.maximum(rates, 0.0)
     counts = seeded_rng(seed).poisson(rates)
     return CompressiveObservations(counts=counts)
@@ -124,10 +121,7 @@ def tilde_forward(ensemble, X):
     Bit set maps to +sqrt(p/(1-p)), bit clear to -sqrt((1-p)/p), scaled by
     1/sqrt(m).  Used only by the RIP diagnostic.
     """
-    X = as_matrix(X)
-    if X.shape != ensemble.shape:
-        raise ShapeMismatchError(
-            f"matrix shape {X.shape} does not match ensemble shape {ensemble.shape}")
+    X = as_matrix(X, ensemble.shape)
     p = ensemble.p
     hi = math.sqrt(p / (1.0 - p))
     lo = math.sqrt((1.0 - p) / p)

@@ -26,12 +26,14 @@ MAX_STEP_RECIP = 1e30
 
 
 class SolverAbort(RuntimeError):
-    """Solve aborted (objective domain error); carries the partial result."""
+    """Solve aborted (objective domain error); carries the partial result,
+    whose trace ends ``"aborted"``."""
 
     def __init__(self, message, matrix, trace):
         super().__init__(message)
         self.matrix = matrix
         self.trace = trace
+        trace.terminated_by = "aborted"
 
 
 @dataclass
@@ -138,7 +140,6 @@ def _fixed_step(obj, fset, X0, config, momentum):
             trace.terminated_by = "tolerance"
             return X, trace
         f_prev = f
-    trace.terminated_by = "max_iter"
     return X, trace
 
 
@@ -224,5 +225,4 @@ def pmlsvt(obj, fset, X0=None, config=None, feasible_map=None):
         if abs(f_new - Q) < threshold:
             trace.terminated_by = "tolerance"
             return X, trace
-    trace.terminated_by = "max_iter"
     return X, trace

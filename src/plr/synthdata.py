@@ -159,9 +159,7 @@ def sample_completion_observations(M, m_expected, seed):
 
 def image_to_patch_matrix(image, layout):
     """Collect vectorized patches of ``image`` into the columns of a matrix."""
-    image = as_matrix(image)
-    if image.shape != tuple(layout.image_shape):
-        raise ValueError(f"image shape {image.shape} != layout {layout.image_shape}")
+    image = as_matrix(image, layout.image_shape)
     H, W = layout.image_shape
     h, w = layout.patch_shape
     blocks = image.reshape(H // h, h, W // w, w)
@@ -170,9 +168,7 @@ def image_to_patch_matrix(image, layout):
 
 def patch_matrix_to_image(matrix, layout):
     """Exact inverse of :func:`image_to_patch_matrix`."""
-    matrix = as_matrix(matrix)
-    if matrix.shape != layout.matrix_shape:
-        raise ValueError(f"matrix shape {matrix.shape} != layout {layout.matrix_shape}")
+    matrix = as_matrix(matrix, layout.matrix_shape)
     H, W = layout.image_shape
     h, w = layout.patch_shape
     blocks = matrix.reshape(h, w, H // h, W // w)

@@ -75,6 +75,36 @@ lambda = 10
 """
 
 
+MATRIX_CFG = f"""\
+mode = complete
+source = matrix
+matrix_file = {__file__}
+alpha = 30
+beta = 1
+m = 36
+"""
+
+IMAGE_CFG = f"""\
+mode = complete
+source = image
+image_file = {DATA}/phantom16.pgm
+patch_h = 4
+patch_w = 4
+alpha = 30
+beta = 1
+m = 36
+"""
+
+# (source, a config of it, the keys that source never reads)
+SOURCE_UNREAD = [
+    ("synthetic", COMPLETION_CFG,
+     ("matrix_file", "image_file", "patch_h", "patch_w", "trunc_rank", "counts_file")),
+    ("matrix", MATRIX_CFG, ("d1", "d2", "image_file", "patch_h", "patch_w", "counts_file")),
+    ("image", IMAGE_CFG, ("d1", "d2", "matrix_file", "counts_file")),
+    ("counts", BIKE_CFG, ("d1", "d2", "matrix_file", "image_file", "patch_h", "patch_w")),
+]
+
+
 def fixed_step_cfg(solver):
     """COMPLETION_CFG run by ``solver``, without the keys only pmlsvt reads."""
     text = re.sub(r"^(step_recip|step_scale|lambda) = .*\n", "", COMPLETION_CFG, flags=re.M)
@@ -197,6 +227,25 @@ class TestExperimentConfig:
         keys = ["lambda" if f.name == "penalty" else f.name
                 for f in dataclasses.fields(ExperimentConfig)]
         assert sorted(listed) == sorted(keys)
+
+    def test_readme_owner_table_matches_the_rules(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        table = readme.split("| owner | requires | never reads |\n", 1)[1].split("\n\n", 1)[0]
+        rows = table.splitlines()[1:]  # past the rule
+        assert rows and all(row.startswith("| `") for row in rows)
+        listed = {}
+        for row in rows:
+            owners, requires, unread = (re.findall(r"`([^`]+)`", cell)
+                                        for cell in row.split("|")[1:4])
+            for owner in owners:
+                owner = plr.cli._SINGLE if owner in ("synth", "solve") else owner
+                listed[owner] = (set(requires), set(unread))
+        rules = {owner: ({key for need in plr.cli._REQUIRES.get(owner, ())
+                          for key in need.split(" or ")},
+                         {plr.cli._FIELD_KEYS.get(key, key)
+                          for key in plr.cli._UNREAD_KEYS.get(owner, ())})
+                 for owner in {*plr.cli._REQUIRES, *plr.cli._UNREAD_KEYS}}
+        assert listed == rules
 
 
 class TestSynthSolvePipeline:
@@ -772,12 +821,12 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("mode,key", [
         ("recovery", "p_obs"), ("recovery", "obs_file"),
-        ("completion", "p"), ("completion", "total_intensity"), ("completion", "y_file"),
-        ("completion", "ensemble_file")])
+        ("completion", "p"), ("completion", "total_intensity"), ("completion", "entry_floor"),
+        ("completion", "y_file"), ("completion", "ensemble_file")])
     def test_key_the_mode_never_reads_exits_2(self, tmp_path, capsys, mode, key):
         base = RECOVERY_CFG if mode == "recovery" else COMPLETION_CFG
         # p's 0.5 is its default, which counts as unset
-        value = {"p": "0.9", "p_obs": "0.5", "total_intensity": "0.5"}.get(
+        value = {"p": "0.9", "p_obs": "0.5", "total_intensity": "0.5", "entry_floor": "0.5"}.get(
             key, __file__)  # an existing file
         cfg = write_cfg(tmp_path, base + f"{key} = {value}\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -803,9 +852,12 @@ class TestErrorPaths:
         ("synth", COMPLETION_CFG, "trials = 3\n", "a single experiment", "trials"),
         ("solve", COMPLETION_CFG, "trials = 3\n", "a single experiment", "trials"),
         ("synth", COMPLETION_CFG, "sweep_values = 1,2\n", "a single experiment", "sweep_values"),
-        ("solve", COMPLETION_CFG, "sweep_values = 1,2\n", "a single experiment", "sweep_values")],
+        ("solve", COMPLETION_CFG, "sweep_values = 1,2\n", "a single experiment", "sweep_values"),
+        *[("solve", base, f"{key} = {__file__ if key.endswith('_file') else 4}\n", source, key)
+          for source, base, keys in SOURCE_UNREAD for key in keys]],
         ids=["obs_file_m", "obs_file_p_obs", "synth_trials", "solve_trials", "synth_values",
-             "solve_values"])
+             "solve_values",
+             *[f"{source}_{key}" for source, _, keys in SOURCE_UNREAD for key in keys]])
     def test_key_a_single_run_never_reads_exits_2(self, tmp_path, capsys, command, base, line,
                                                   owner, key):
         cfg = write_cfg(tmp_path, base + line)

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from plr.core import (CompletionObservations, CompressiveObservations, FeasibleSet,
-                      ShapeMismatchError, SolverTrace, _atomic_write, load_dense_csv,
-                      load_observations_csv, save_dense_csv, save_observations_csv,
-                      seeded_rng, validate_membership)
+                      ShapeMismatchError, SolverTrace, _atomic_write, as_matrix,
+                      load_dense_csv, load_observations_csv, save_dense_csv,
+                      save_observations_csv, seeded_rng, validate_membership)
+
+
+def test_as_matrix_rejects_another_shape_naming_both():
+    assert as_matrix(np.ones((2, 3)), (2, 3)).shape == (2, 3)
+    with pytest.raises(ShapeMismatchError, match=r"\(2, 3\) does not match \(3, 2\)"):
+        as_matrix(np.ones((2, 3)), (3, 2))
 
 
 class TestFeasibleSet:
@@ -47,7 +53,7 @@ class TestValidateMembership:
         X[1, 0] = 1.0  # beta/2
         report = validate_membership(X, self.fs, "Gamma1")
         assert not report
-        assert "(1, 0)" in report.violations[0]
+        assert report.violations[0] == "entry (1, 0) = 1.0 below lower bound 2.0"
 
     def test_scaled_identity_on_nuclear_boundary_is_member(self):
         # ||alpha*I_4||_* = 4*alpha equals the radius alpha*sqrt(1*16)

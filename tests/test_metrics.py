@@ -23,8 +23,9 @@ class TestSquaredError:
         assert squared_error(3 * M, 3 * N) == pytest.approx(9 * squared_error(M, N))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            squared_error(np.ones((2, 2)), np.ones((2, 3)))
+        for metric in (squared_error, kl_matrix, hellinger_matrix):
+            with pytest.raises(ShapeMismatchError):
+                metric(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestKl:

@@ -4,7 +4,8 @@ import pytest
 import plr.objectives
 import plr.solvers
 from oracles import finite_difference_gradient
-from plr.core import CompletionObservations, FeasibleSet, RateFloorError, seeded_rng
+from plr.core import (CompletionObservations, FeasibleSet, RateFloorError, ShapeMismatchError,
+                      seeded_rng)
 from plr.objectives import (MIN_RATE_FLOOR, CompletionObjective, RecoveryObjective,
                             completion_objective, quadratic_model, recovery_objective)
 from plr.sensing import (SensingEnsemble, apply_forward, build_sensing_ensemble,
@@ -39,6 +40,7 @@ class TestNllCompletion:
         with pytest.raises(RateFloorError) as err:
             CompletionObjective(obs, 1.0).value(X)
         assert err.value.index == (1, 1)
+        assert str(err.value) == "entry (1, 1) = 0.5 is below the rate floor 1.0"
 
     def test_convexity_probe(self):
         rng = seeded_rng(1)
@@ -110,6 +112,12 @@ class TestNllRecovery:
         with pytest.raises(RateFloorError) as err:
             RecoveryObjective(ens, np.array([1.0, 2.0]), 1e-9).value(np.ones((2, 2)))
         assert err.value.index == 1
+        assert str(err.value) == "measurement 1 has count 2.0 but rate 0.0 below the floor 1e-09"
+
+    def test_count_vector_of_another_length_raises_at_construction(self):
+        ens = build_sensing_ensemble(2, 2, 3, 0.5, seed=0)
+        with pytest.raises(ShapeMismatchError, match=r"\(4,\) does not match ensemble size m=3"):
+            RecoveryObjective(ens, np.ones(ens.m + 1), 1e-9)
 
     def test_convexity_probe(self):
         rng = seeded_rng(30)

@@ -104,8 +104,9 @@ class TestForward:
 
     def test_shape_mismatch(self):
         ens = build_sensing_ensemble(3, 3, 2, 0.5, seed=0)
-        with pytest.raises(ShapeMismatchError):
-            apply_forward(ens, np.ones((2, 3)))
+        for forward in (apply_forward, tilde_forward):
+            with pytest.raises(ShapeMismatchError):
+                forward(ens, np.ones((2, 3)))
 
 
 class TestAdjoint:

@@ -178,6 +178,7 @@ class TestFixedStep:
         with pytest.raises(SolverAbort, match="objective domain error") as err:
             solver(failing, fset, X0, SolverConfig(max_iter=50, mode="completion"))
         assert err.value.trace.iterations_run == k
+        assert err.value.trace.terminated_by == "aborted"
         assert err.value.matrix.tobytes() == X_k.tobytes()
 
     def test_each_feasibility_map_is_one_alternating_projection(self, solver, monkeypatch):
@@ -225,6 +226,7 @@ class TestPmlsvt:
             pmlsvt(rejecting, fset, X0=X0, config=cfg)
         assert err.value.trace.iterations_run == k
         assert err.value.trace.step_control == [cfg.step_recip] * k
+        assert err.value.trace.terminated_by == "aborted"
 
 
     def test_identity_strategy_single_step_is_projected_gradient(self):
@@ -345,6 +347,7 @@ class TestPmlsvt:
         with pytest.raises(SolverAbort) as err:
             pmlsvt(obj, fset, X0=X0, config=SolverConfig(max_iter=5, mode="recovery"))
         assert err.value.trace.iterations_run == 0
+        assert err.value.trace.terminated_by == "aborted"
 
     def test_mode_inferred_from_objective(self):
         fset = FeasibleSet(alpha=10.0, beta=1.0, rank_budget=1)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from plr.core import FeasibleSet, seeded_rng
+from plr.core import FeasibleSet, ShapeMismatchError, seeded_rng
 from plr.synthdata import (PatchLayout, WeakLqSpec, gen_exact_low_rank, gen_weak_lq,
                            image_to_patch_matrix, load_count_csv,
                            patch_matrix_to_image, rank_l_approx, read_pgm,
@@ -164,6 +164,13 @@ class TestPatchTransform:
         mat = image_to_patch_matrix(img, layout)
         # patch (0,1) covers rows 0:2, cols 2:4, row-major vectorization
         assert mat[:, 1].tolist() == [2.0, 3.0, 6.0, 7.0]
+
+    def test_wrong_shape_raises_shape_mismatch(self):
+        layout = PatchLayout(image_shape=(4, 6), patch_shape=(2, 2))
+        with pytest.raises(ShapeMismatchError, match=r"\(6, 4\) does not match \(4, 6\)"):
+            image_to_patch_matrix(np.ones((6, 4)), layout)
+        with pytest.raises(ShapeMismatchError, match=r"\(6, 4\) does not match \(4, 6\)"):
+            patch_matrix_to_image(np.ones((6, 4)), layout)
 
 
 class TestCountCsv:
