@@ -312,10 +312,7 @@ def ground_truth_source(ec):
         fset = FeasibleSet(alpha=ec.alpha, beta=ec.beta,
                            rank_budget=ec.rank_budget or ec.rank,
                            entry_floor=ec.entry_floor)
-        try:
-            M = gen_exact_low_rank(ec.d1, ec.d2, ec.rank, fset, ec.seed)
-        except RuntimeError as exc:
-            raise ConfigError(f"synthetic ground truth: {exc}") from None
+        M = gen_exact_low_rank(ec.d1, ec.d2, ec.rank, fset, ec.seed)
     elif ec.source == "matrix":
         M = load_dense_csv(ec.matrix_file)
     elif ec.source == "image":
@@ -356,6 +353,8 @@ def make_completion_observations(ec, M, mask, seed):
         return sample_completion_observations(M, m_expected, seed)
     # Counts are already a Poisson realization: Bernoulli-subsample the cells
     # present in the file and take their values as the observations.
+    if not 0 < m_expected <= d1 * d2:
+        raise ValueError(f"m_expected must lie in (0, {d1 * d2}], got {m_expected}")
     rng = seeded_rng(seed)
     keep = (rng.random(M.shape) < m_expected / (d1 * d2)) & mask
     rows, cols = np.nonzero(keep)
@@ -468,8 +467,7 @@ def metrics_lines(ec, M, mask, Mhat, fset, trace, wall_time):
         lines.append(f"hellinger={hellinger_matrix(np.maximum(M, 0), np.maximum(Mhat, 0))!r}")
     lines.append(f"iterations={trace.iterations_run}")
     lines.append(f"terminated_by={trace.terminated_by}")
-    if trace.objective_values:
-        lines.append(f"final_objective={trace.objective_values[-1]!r}")
+    lines.append(f"final_objective={trace.objective_values[-1]!r}")
     lines.append(f"wall_time_s={wall_time:.6f}")
     return lines
 

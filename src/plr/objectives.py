@@ -47,11 +47,7 @@ class CompletionObjective:
 
     def _observed_values(self, X):
         obs = self.obs
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape != tuple(obs.dims):
-            raise ShapeMismatchError(
-                f"matrix shape {X.shape} does not match observation dims {obs.dims}")
-        vals = X[obs.rows, obs.cols]
+        vals = as_matrix(X, obs.dims)[obs.rows, obs.cols]
         if vals.size and not vals.min() >= self.rate_floor:
             k = int(np.argmin(vals))
             raise RateFloorError(

@@ -163,7 +163,7 @@ def accelerated_proximal_gradient(obj, fset, X0, config):
     return _fixed_step(obj, fset, X0, config, momentum=True)
 
 
-def pmlsvt(obj, fset, X0=None, config=None, feasible_map=None):
+def pmlsvt(obj, fset, X0=None, config=None):
     """Penalized maximum-likelihood singular value thresholding.
 
     Each iteration takes a gradient step from the current iterate, shrinks
@@ -174,17 +174,14 @@ def pmlsvt(obj, fset, X0=None, config=None, feasible_map=None):
     up by ``step_scale``, and the step is recomputed.  The loop exits when
     |f(X_new) - Q_t(X_new, X_old)| < 0.5/max_iter.
 
-    ``feasible_map`` overrides the mode's feasibility map (testing hook).
     A ``None`` penalty falls back to :func:`select_lambda_default`.
     """
     if config is None:
         config = SolverConfig()
-    mode = _resolve_mode(obj, config)
-    if feasible_map is None:
-        if mode == "recovery":
-            feasible_map = lambda Z: positive_rescale(Z, fset.total_intensity)
-        else:
-            feasible_map = lambda Z: project_box(Z, fset.alpha, fset.beta)
+    if _resolve_mode(obj, config) == "recovery":
+        to_feasible = lambda Z: positive_rescale(Z, fset.total_intensity)
+    else:
+        to_feasible = lambda Z: project_box(Z, fset.alpha, fset.beta)
 
     X = default_init(obj, fset) if X0 is None else as_matrix(X0).copy()
     trace = SolverTrace()
@@ -208,7 +205,7 @@ def pmlsvt(obj, fset, X0=None, config=None, feasible_map=None):
             C = X - G / t
             U, s, Vt = svd_factors(C)
             try:
-                X_new = feasible_map(_shrink(U, s, Vt, lam / t))
+                X_new = to_feasible(_shrink(U, s, Vt, lam / t))
                 f_new = obj.value(X_new)
                 Q = quadratic_model(f_cur, G, X_new, X, t)
             except (RateFloorError, DegenerateInputError):

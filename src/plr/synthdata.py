@@ -69,9 +69,9 @@ class PatchLayout:
 def gen_exact_low_rank(d1, d2, rank, fset, seed):
     """Random matrix of the given rank with entries inside [beta, alpha].
 
-    Built from nonnegative factors whose range puts the product inside the
-    box; the box clamp is then a numerical no-op, and the rank is re-checked
-    after clamping, resampling up to 100 times as a guard.
+    The product U V' of factors drawn uniformly from
+    [sqrt(beta/rank), sqrt(alpha/rank)) has every entry in [beta, alpha], so
+    one draw suffices; the box clamp only absorbs rounding.
     """
     d = min(d1, d2)
     if not 1 <= rank <= d:
@@ -79,16 +79,9 @@ def gen_exact_low_rank(d1, d2, rank, fset, seed):
     rng = seeded_rng(seed)
     lo = math.sqrt(fset.beta / rank)
     hi = math.sqrt(fset.alpha / rank)
-    for _ in range(100):
-        U = rng.uniform(lo, hi, size=(d1, rank))
-        V = rng.uniform(lo, hi, size=(d2, rank))
-        M = np.clip(U @ V.T, fset.beta, fset.alpha)
-        s = np.linalg.svd(M, compute_uv=False)
-        if rank == d or s[rank:].max() <= 1e-9 * s[0]:
-            return M
-    raise RuntimeError(
-        f"could not draw a rank-{rank} matrix inside [{fset.beta}, {fset.alpha}] "
-        "after 100 resamples")
+    U = rng.uniform(lo, hi, size=(d1, rank))
+    V = rng.uniform(lo, hi, size=(d2, rank))
+    return np.clip(U @ V.T, fset.beta, fset.alpha)
 
 
 def gen_weak_lq(spec, seed):

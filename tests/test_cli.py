@@ -878,14 +878,35 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not (tmp_path / "s" / "sweep.csv").exists()
 
-    def test_ground_truth_draw_failure_exits_2(self, tmp_path, capsys, monkeypatch):
-        def failing_draw(*args, **kwargs):
-            raise RuntimeError("could not draw a rank-2 matrix")
+    def test_solve_abort_writes_partial_trace_and_exits_3(self, tmp_path, capsys, monkeypatch):
+        def aborting_pmlsvt(obj, fset, X0=None, config=None):
+            trace = SolverTrace()
+            trace.record(1.5, 2.0)
+            raise SolverAbort("backtracking diverged", None, trace)
 
-        monkeypatch.setattr(plr.cli, "gen_exact_low_rank", failing_draw)
-        cfg = write_cfg(tmp_path, RECOVERY_CFG)
-        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-        assert "could not draw a rank-2 matrix" in capsys.readouterr().err
+        monkeypatch.setattr(plr.cli, "pmlsvt", aborting_pmlsvt)
+        cfg = write_cfg(tmp_path, COMPLETION_CFG)
+        out = tmp_path / "x"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "plr solve: aborted: backtracking diverged" in err
+        assert "Traceback" not in err
+        assert (out / "trace.csv").read_text() == "iter,objective,t\n1,1.5,2.0\n"
+        assert not (out / "Mhat.csv").exists()
+        assert not (out / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("source", ["counts", "matrix"])
+    def test_completion_m_above_the_cell_count_exits_2(self, tmp_path, capsys, source):
+        text = BIKE_CFG.replace("p_obs = 0.5\n", "m = 5000\n")
+        if source == "matrix":
+            matrix_file = tmp_path / "bike.csv"
+            save_dense_csv(matrix_file, np.full((24, 8), 5.0))
+            text = text.replace("source = counts\n", "source = matrix\n").replace(
+                f"counts_file = {DATA}/bike_toy.csv", f"matrix_file = {matrix_file}")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "m_expected must lie in (0, 192], got 5000.0" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "Mhat.csv").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_exits_2(self, tmp_path, capsys, threads):

@@ -42,6 +42,22 @@ class TestNllCompletion:
         assert err.value.index == (1, 1)
         assert str(err.value) == "entry (1, 1) = 0.5 is below the rate floor 1.0"
 
+    @pytest.mark.parametrize("method", ["value", "gradient"])
+    def test_wrong_shape_is_rejected(self, method):
+        f = CompletionObjective(single_obs(3, dims=(2, 3)), MIN_RATE_FLOOR)
+        with pytest.raises(ShapeMismatchError, match=r"\(3, 2\) does not match \(2, 3\)"):
+            getattr(f, method)(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 2)], ids=["observed", "unobserved"])
+    @pytest.mark.parametrize("method", ["value", "gradient"])
+    def test_nan_is_rejected(self, method, cell):
+        # a NaN is neither below the rate floor nor skipped when unobserved
+        f = CompletionObjective(single_obs(3, dims=(2, 3)), MIN_RATE_FLOOR)
+        X = np.ones((2, 3))
+        X[cell] = np.nan
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            getattr(f, method)(X)
+
     def test_convexity_probe(self):
         rng = seeded_rng(1)
         fset = FeasibleSet(alpha=30.0, beta=1.0)

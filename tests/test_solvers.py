@@ -5,7 +5,7 @@ import plr.solvers
 from plr.core import CompletionObservations, FeasibleSet, RateFloorError, seeded_rng
 from plr.objectives import (CompletionObjective, RecoveryObjective, completion_objective,
                             recovery_objective)
-from plr.projections import positive_rescale, svt
+from plr.projections import positive_rescale, project_box, svt
 from plr.sensing import apply_adjoint, build_sensing_ensemble, sample_compressive_counts
 from plr.solvers import (SolverAbort, SolverConfig, accelerated_proximal_gradient,
                          default_init, pmlsvt, proximal_gradient, select_lambda_default)
@@ -114,10 +114,15 @@ class TestAcceleratedProximalGradient:
         assert np.ptp(trace.objective_values) <= 1e-12
 
     def test_reaches_target_faster_than_proximal_gradient(self):
-        fstar = self.obj.value(accelerated_proximal_gradient(
-            self.obj, self.fset, self.X0,
-            SolverConfig(max_iter=60_000, mode="completion"))[0])
-        target = fstar + 1e-6
+        # every entry is observed and clip(Y) lies inside the nuclear ball,
+        # so clip(Y) is the constrained minimizer (as in criterion 04)
+        obs = self.obj.obs
+        assert len(obs) == self.M.size
+        Y = np.zeros(obs.dims)
+        Y[obs.rows, obs.cols] = obs.counts
+        Xstar = np.clip(Y, self.fset.beta, self.fset.alpha)
+        assert np.linalg.svd(Xstar, compute_uv=False).sum() < self.fset.nuclear_radius(6, 6)
+        target = self.obj.value(Xstar) + 1e-6
         cfg = SolverConfig(max_iter=4000, mode="completion")
         _, tr_pg = proximal_gradient(self.obj, self.fset, self.X0, cfg)
         _, tr_acc = accelerated_proximal_gradient(self.obj, self.fset, self.X0, cfg)
@@ -229,28 +234,30 @@ class TestPmlsvt:
         assert err.value.trace.terminated_by == "aborted"
 
 
-    def test_identity_strategy_single_step_is_projected_gradient(self):
+    def test_identity_strategy_single_step_is_projected_gradient(self, monkeypatch):
         # lambda = 0 and t >= L: one iteration reduces to X0 - (1/t) grad
+        monkeypatch.setattr(plr.solvers, "project_box", lambda Z, alpha, beta: Z)
         fset = FeasibleSet(alpha=20.0, beta=1.0, rank_budget=2)
         M = seeded_rng(5).uniform(5.0, 15.0, (4, 4))
         obj = completion_objective(full_observation(M, 6), fset)
         X0 = np.full((4, 4), 10.0)
         t = 2.0 * fset.lipschitz()
         cfg = SolverConfig(max_iter=1, step_recip=t, penalty=0.0, mode="completion")
-        X, trace = pmlsvt(obj, fset, X0=X0, config=cfg, feasible_map=lambda Z: Z)
+        X, trace = pmlsvt(obj, fset, X0=X0, config=cfg)
         want = X0 - obj.gradient(X0) / t
         assert np.allclose(X, want, atol=1e-10)
         assert trace.step_control == [t]
 
-    def test_single_step_is_svt_of_the_gradient_step(self):
+    def test_single_step_is_svt_of_the_gradient_step(self, monkeypatch):
         # the shrink pmlsvt takes is the svt that the acceptance suite checks,
         # at whatever t backtracking settled on
+        monkeypatch.setattr(plr.solvers, "project_box", lambda Z, alpha, beta: Z)
         fset = FeasibleSet(alpha=20.0, beta=1.0, rank_budget=2)
         M = seeded_rng(5).uniform(5.0, 15.0, (4, 4))
         obj = completion_objective(full_observation(M, 6), fset)
         X0 = np.full((4, 4), 10.0)
         cfg = SolverConfig(max_iter=1, step_recip=1e-2, penalty=0.5, mode="completion")
-        X, trace = pmlsvt(obj, fset, X0=X0, config=cfg, feasible_map=lambda Z: Z)
+        X, trace = pmlsvt(obj, fset, X0=X0, config=cfg)
         t = trace.step_control[0]
         want = svt(X0 - obj.gradient(X0) / t, cfg.penalty / t)
         assert X.tobytes() == want.tobytes()
@@ -275,20 +282,22 @@ class TestPmlsvt:
         # the noiseless constrained MLE is the truth itself
         assert np.linalg.norm(Xa - M) / np.linalg.norm(M) <= 1e-9
 
-    def test_completion_iterates_stay_in_box(self):
+    def test_completion_iterates_stay_in_box(self, monkeypatch):
         rng = seeded_rng(7)
         fset = FeasibleSet(alpha=15.0, beta=1.0, rank_budget=2)
         M = rng.uniform(2.0, 14.0, (6, 5))
         obj = completion_objective(full_observation(M, 8), fset)
         seen = []
 
-        def recording_map(Z):
-            out = np.clip(Z, fset.beta, fset.alpha)
+        def recording_map(Z, alpha, beta):
+            out = project_box(Z, alpha, beta)
             seen.append(out)
             return out
 
+        monkeypatch.setattr(plr.solvers, "project_box", recording_map)
         cfg = SolverConfig(max_iter=50, step_recip=1e-3, penalty=0.01, mode="completion")
-        pmlsvt(obj, fset, config=cfg, feasible_map=recording_map)
+        pmlsvt(obj, fset, config=cfg)
+        assert seen
         for X in seen:
             assert X.min() >= fset.beta and X.max() <= fset.alpha
 
