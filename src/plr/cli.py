@@ -13,7 +13,9 @@ status: 0 on success, 2 on a config or input error, 3 on a solver abort.
 
 Before any work, ``ExperimentConfig.validate`` checks each point config (the
 config itself, or one per sweep value) against the tables of what each mode,
-source, solver, ``obs_file`` and command requires and never reads.
+source, solver and command requires and never reads.  ``obs_file``,
+``p_obs`` and ``ensemble_file`` have rows too: each fixes what another key
+would otherwise set, so that key may not be set beside it.
 """
 
 from __future__ import annotations
@@ -65,14 +67,16 @@ _REQUIRES = {"synthetic": ("d1", "d2", "rank", "alpha", "beta"), "matrix": ("mat
 _FIXED_STEP_UNREAD = ("penalty", "step_recip", "step_scale")
 _UNREAD_KEYS = {"synthetic": ("matrix_file", "image_file", "patch_h", "patch_w", "trunc_rank",
                               "counts_file"),
-                "matrix": ("d1", "d2", "image_file", "patch_h", "patch_w", "counts_file"),
-                "image": ("d1", "d2", "matrix_file", "counts_file"),
-                "counts": ("d1", "d2", "matrix_file", "image_file", "patch_h", "patch_w"),
+                "matrix": ("d1", "d2", "rank", "image_file", "patch_h", "patch_w", "trunc_rank",
+                           "counts_file"),
+                "image": ("d1", "d2", "rank", "matrix_file", "counts_file"),
+                "counts": ("d1", "d2", "rank", "matrix_file", "image_file", "patch_h", "patch_w",
+                           "trunc_rank"),
                 "recovery": ("p_obs", "obs_file"),
                 "completion": ("p", "total_intensity", "entry_floor", "y_file", "ensemble_file"),
                 "pmlsvt": ("tol",),
                 "proximal": _FIXED_STEP_UNREAD, "accelerated": _FIXED_STEP_UNREAD,
-                "obs_file": ("m", "p_obs"),
+                "obs_file": ("m", "p_obs"), "p_obs": ("m",), "ensemble_file": ("m", "p"),
                 _SINGLE: ("sweep_axis", "sweep_values", "trials")}
 
 
@@ -195,8 +199,6 @@ class ExperimentConfig:
             if (self.obs_file or self.y_file) and (self.sweep_axis, self.trials) != ("lambda", 1):
                 raise ConfigError("a sweep over obs_file or y_file may sweep only lambda, "
                                   "with trials = 1")
-            if self.ensemble_file and self.sweep_axis == "m":
-                raise ConfigError("a sweep over a fixed ensemble_file may not sweep m")
         for point in _point_configs(self, self.sweep_values) if need_sweep else [self]:
             point._check_point(single=not need_sweep)
         for key in [f.name for f in dataclasses.fields(self) if f.name.endswith("_file")]:
@@ -212,8 +214,8 @@ class ExperimentConfig:
             raise ConfigError(f"solver = {self.solver} supports completion only; "
                               "use solver = pmlsvt for recovery")
         owners = [self.source, self.mode, self.solver]
-        if self.obs_file is not None:
-            owners.append("obs_file")
+        owners += [key for key in ("obs_file", "p_obs", "ensemble_file")
+                   if getattr(self, key) is not None]
         if single:
             owners.append(_SINGLE)
         for owner in owners:
@@ -263,11 +265,8 @@ def _is_set(ec, name):
 
 
 def _point_configs(ec, values):
-    """One config per sweep value: ``ec`` with the swept field replaced.  An
-    m point also clears p_obs, which would otherwise win over m."""
-    cleared = {"p_obs": None} if ec.sweep_axis == "m" else {}
-    return [dataclasses.replace(ec, **{_AXIS_FIELDS[ec.sweep_axis]: value}, **cleared)
-            for value in values]
+    """One config per sweep value: ``ec`` with the swept field replaced."""
+    return [dataclasses.replace(ec, **{_AXIS_FIELDS[ec.sweep_axis]: value}) for value in values]
 
 
 def _solver_config(ec):
@@ -309,10 +308,8 @@ def ground_truth_source(ec):
     rho scaling, rescale or clamp; see :func:`build_ground_truth`."""
     mask = None
     if ec.source == "synthetic":
-        fset = FeasibleSet(alpha=ec.alpha, beta=ec.beta,
-                           rank_budget=ec.rank_budget or ec.rank,
-                           entry_floor=ec.entry_floor)
-        M = gen_exact_low_rank(ec.d1, ec.d2, ec.rank, fset, ec.seed)
+        M = gen_exact_low_rank(ec.d1, ec.d2, ec.rank,
+                               FeasibleSet(alpha=ec.alpha, beta=ec.beta), ec.seed)
     elif ec.source == "matrix":
         M = load_dense_csv(ec.matrix_file)
     elif ec.source == "image":
@@ -369,17 +366,11 @@ def make_recovery_observations(ec, M, seed):
 
 
 def recovery_ensemble(ec, d1, d2, seed):
-    """The sensing masks: read from ensemble_file, else drawn with the
-    config's m and p from ``seed``.  A file whose m or p differs from one the
-    config sets is a ConfigError."""
+    """The sensing masks: read from ensemble_file, which fixes their m and p
+    (so the config sets neither, see validate), else drawn with the config's
+    m and p from ``seed``."""
     if ec.ensemble_file is not None:
-        ensemble = load_ensemble(ec.ensemble_file)
-        for key in ("m", "p"):
-            held, value = getattr(ensemble, key), getattr(ec, key)
-            if _is_set(ec, key) and held != value:
-                raise ConfigError(f"{ec.ensemble_file}: the masks have {key} = {held!r}, "
-                                  f"but the config sets {key} = {value!r}")
-        return ensemble
+        return load_ensemble(ec.ensemble_file)
     return build_sensing_ensemble(d1, d2, int(ec.m), ec.p, seed)
 
 

@@ -99,9 +99,11 @@ m = 36
 SOURCE_UNREAD = [
     ("synthetic", COMPLETION_CFG,
      ("matrix_file", "image_file", "patch_h", "patch_w", "trunc_rank", "counts_file")),
-    ("matrix", MATRIX_CFG, ("d1", "d2", "image_file", "patch_h", "patch_w", "counts_file")),
-    ("image", IMAGE_CFG, ("d1", "d2", "matrix_file", "counts_file")),
-    ("counts", BIKE_CFG, ("d1", "d2", "matrix_file", "image_file", "patch_h", "patch_w")),
+    ("matrix", MATRIX_CFG,
+     ("d1", "d2", "rank", "image_file", "patch_h", "patch_w", "trunc_rank", "counts_file")),
+    ("image", IMAGE_CFG, ("d1", "d2", "rank", "matrix_file", "counts_file")),
+    ("counts", BIKE_CFG,
+     ("d1", "d2", "rank", "matrix_file", "image_file", "patch_h", "patch_w", "trunc_rank")),
 ]
 
 
@@ -213,9 +215,10 @@ class TestExperimentConfig:
         assert required | unread | ranged <= fields
         choices = {plr.cli._ALIASES.get(c, c) for cs in plr.cli._CHOICES.values() for c in cs}
         owners = set(plr.cli._REQUIRES) | set(plr.cli._UNREAD_KEYS)
-        # every owner is a chosen mode, source or solver, obs_file or synth/solve,
-        # and every choice has a row: none falls through the table lookups unread
-        assert owners == choices | {"obs_file", plr.cli._SINGLE}
+        # every owner is a chosen mode, source or solver, a key that fixes
+        # another (obs_file, p_obs, ensemble_file) or synth/solve, and every
+        # choice has a row: none falls through the table lookups unread
+        assert owners == choices | {"obs_file", "p_obs", "ensemble_file", plr.cli._SINGLE}
         assert set(plr.cli._ALIASES.values()) <= set(plr.cli._CHOICES["mode"])
 
     def test_readme_key_table_lists_every_config_key(self):
@@ -392,8 +395,12 @@ class TestFixedCountSweep:
         (COMPLETION_CFG.replace("m = 36\n", ""), f"obs_file = {__file__}\nsweep_axis = m\n"
          "sweep_values = 10,20\ntrials = 1\n", "may sweep only lambda, with trials = 1"),
         (RECOVERY_CFG.replace("m = 40\n", ""), f"ensemble_file = {__file__}\nsweep_axis = m\n"
-         "sweep_values = 30,40\ntrials = 2\n", "ensemble_file may not sweep m")],
-        ids=["y_file_trials", "y_file_rho", "obs_file_rho", "obs_file_m", "ensemble_file_m"])
+         "sweep_values = 30,40\ntrials = 2\n", "ensemble_file never reads config key 'm'"),
+        (RECOVERY_CFG.replace("m = 40\n", "").replace("p = 0.5\n", "p = 0.9\n"),
+         f"ensemble_file = {__file__}\nsweep_axis = lambda\nsweep_values = 0.01,0.1\n"
+         "trials = 1\n", "ensemble_file never reads config key 'p'")],
+        ids=["y_file_trials", "y_file_rho", "obs_file_rho", "obs_file_m", "ensemble_file_m",
+             "ensemble_file_p"])
     def test_sweep_the_files_do_not_describe_exits_2(self, tmp_path, capsys, base, lines,
                                                      message):
         cfg = write_cfg(tmp_path, base + lines)
@@ -403,29 +410,25 @@ class TestFixedCountSweep:
 
 
 COMPLETION_SWEEPS = {
-    # axis: (fixed key it replaces, extra fixed keys, sweep values)
-    "m": ("m", "p_obs = 0.9\n", "20,40"),  # an m sweep wins over a configured p_obs
-    "p_obs": ("m", "", "0.5,0.9"),
-    "lambda": ("lambda", "", "0.01,0.1"),
-    "rho": ("rho", "", "1,2"),
+    # axis: (fixed key it replaces, sweep values)
+    "m": ("m", "20,40"),
+    "p_obs": ("m", "0.5,0.9"),
+    "lambda": ("lambda", "0.01,0.1"),
+    "rho": ("rho", "1,2"),
 }
 
 
 @pytest.mark.parametrize("axis", sorted(COMPLETION_SWEEPS))
 def test_completion_sweep_matches_point_by_point(tmp_path, axis):
-    fixed, extra, values = COMPLETION_SWEEPS[axis]
+    fixed, values = COMPLETION_SWEEPS[axis]
     base = COMPLETION_CFG.replace("max_iter = 200", "max_iter = 30")
     base = re.sub(rf"^{fixed} = .*\n", "", base, flags=re.M)
     sweep = f"sweep_axis = {axis}\nsweep_values = {values}\ntrials = 2\n"
-    cfg = write_cfg(tmp_path, base + extra + sweep)
+    cfg = write_cfg(tmp_path, base + sweep)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
                  "--threads", "2"]) == 0
     got = (tmp_path / "s" / "sweep.csv").read_text()
     assert got == unshared_sweep_csv(cfg)
-    if axis == "m":
-        plain = write_cfg(tmp_path, base + sweep, name="plain.cfg")
-        assert main(["sweep", "--config", plain, "--out", str(tmp_path / "p")]) == 0
-        assert got == (tmp_path / "p" / "sweep.csv").read_text()
 
 
 def counting(monkeypatch, name):
@@ -448,9 +451,7 @@ def unshared_sweep_csv(cfg):
     lines = ["value,mean,std"]
     for value in sorted(ec.sweep_values):
         field = {"rho": "rho", "m": "m", "lambda": "penalty", "p_obs": "p_obs"}[ec.sweep_axis]
-        # an m sweep wins over a configured p_obs
-        cleared = {"p_obs": None} if field == "m" else {}
-        pc = dataclasses.replace(ec, **{field: value}, **cleared)
+        pc = dataclasses.replace(ec, **{field: value})
         errs = []
         for trial in range(ec.trials):
             M, mask = plr.cli.build_ground_truth(pc)
@@ -518,10 +519,10 @@ class TestSweepSharing:
             fixed, lines = SHARING_CASES[axis][:2]
             text = RECOVERY_CFG.replace("max_iter = 150", "max_iter = 10").replace(fixed, "")
         else:
-            fixed, extra, values = COMPLETION_SWEEPS[axis]
+            fixed, values = COMPLETION_SWEEPS[axis]
             text = re.sub(rf"^{fixed} = .*\n", "",
                           COMPLETION_CFG.replace("max_iter = 200", "max_iter = 10"), flags=re.M)
-            lines = extra + f"sweep_axis = {axis}\nsweep_values = {values}\ntrials = 2\n"
+            lines = f"sweep_axis = {axis}\nsweep_values = {values}\ntrials = 2\n"
         cfg = write_cfg(tmp_path, text + lines)
         threads = []
         original = plr.cli.run_single_solve
@@ -655,7 +656,7 @@ class TestErrorPaths:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command,base,lines,message", [
-        ("solve", COMPLETION_CFG, "p_obs = 1.5\n",
+        ("solve", COMPLETION_CFG.replace("m = 36\n", ""), "p_obs = 1.5\n",
          "config key 'p_obs' must lie in (0, 1], got 1.5"),
         ("solve", COMPLETION_CFG, "m = 0\n", "config key 'm' must be positive, got 0.0"),
         ("solve", RECOVERY_CFG, "m = 0\n", "config key 'm' must be positive, got 0.0"),
@@ -686,10 +687,19 @@ class TestErrorPaths:
          "the observations; got 0.5"),
         ("sweep", BIKE_CFG, "sweep_axis = rho\nsweep_values = 1,2\ntrials = 1\n",
          "config key 'rho' must be 1 for completion from a counts file, whose counts are "
-         "the observations; got 2.0")],
+         "the observations; got 2.0"),
+        ("sweep", COMPLETION_CFG.replace("m = 36\n", "p_obs = 0.9\n"),
+         "sweep_axis = m\nsweep_values = 20,40\ntrials = 2\n",
+         "p_obs never reads config key 'm'"),
+        ("solve", COMPLETION_CFG, "lambda =\n", "line 15: empty key or value"),
+        ("sweep", COMPLETION_CFG, "sweep_axis = trials\nsweep_values = 1,2\ntrials = 1\n",
+         "sweep_axis must be one of ('rho', 'm', 'lambda', 'p_obs')"),
+        ("sweep", COMPLETION_CFG, "sweep_axis = rho\nsweep_values = ,\ntrials = 1\n",
+         "sweep requires a non-empty sweep_values list")],
         ids=["p_obs", "completion_m", "recovery_m", "max_iter", "step_scale", "step_recip", "p",
              "rho", "rank_budget", "beta", "seed", "no_m", "lambda_sweep", "p_obs_sweep",
-             "m_sweep", "counts_rho", "counts_rho_sweep"])
+             "m_sweep", "counts_rho", "counts_rho_sweep", "m_sweep_over_p_obs", "empty_value",
+             "unknown_axis", "no_sweep_values"])
     def test_value_the_config_rules_out_exits_2_before_any_work(
             self, tmp_path, capsys, command, base, lines, message):
         for key in re.findall(r"^(\w+) =", lines, flags=re.M):
@@ -762,29 +772,36 @@ class TestErrorPaths:
         return recovery_file_cfg(
             tmp_path, f"ensemble_file = {tmp_path / 'full' / 'ensemble.bin'}\n" + lines)
 
-    @pytest.mark.parametrize("lines,message", [
-        ("m = 999\n", "the masks have m = 40, but the config sets m = 999.0"),
-        ("p = 0.9\n", "the masks have p = 0.5, but the config sets p = 0.9"),
-        ("m = 40\np = 0.5\n", None)], ids=["m", "p", "agrees"])
-    def test_ensemble_file_contradicting_the_config_exits_2(self, tmp_path, capsys,
-                                                           lines, message):
+    # the file fixes the masks' m and p, so the config may not set them, not
+    # even to the file's own values (p's default 0.5 counts as unset)
+    @pytest.mark.parametrize("lines,key", [
+        ("m = 999\n", "m"), ("p = 0.9\n", "p"), ("m = 40\np = 0.5\n", "m")],
+        ids=["m", "p", "agrees"])
+    def test_ensemble_file_contradicting_the_config_exits_2(self, tmp_path, capsys, lines, key):
         cfg = self._file_ensemble_cfg(tmp_path, lines)
-        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "x")])
-        if message is None:
-            assert code == 0
-            return
-        assert code == 2
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert f"{tmp_path / 'full' / 'ensemble.bin'}: {message}" in err
-        assert "Traceback" not in err and not (tmp_path / "x" / "Mhat.csv").exists()
+        assert f"ensemble_file never reads config key '{key}'" in err
+        assert "Traceback" not in err and not (tmp_path / "x").exists()
 
     def test_sweep_on_an_ensemble_file_contradicting_the_config_exits_2(self, tmp_path, capsys):
         cfg = self._file_ensemble_cfg(
             tmp_path, "m = 999\nsweep_axis = lambda\nsweep_values = 0.01,0.1\ntrials = 1\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
         err = capsys.readouterr().err
-        assert "the masks have m = 40, but the config sets m = 999.0" in err
-        assert "Traceback" not in err and not (tmp_path / "s" / "sweep.csv").exists()
+        assert "ensemble_file never reads config key 'm'" in err
+        assert "Traceback" not in err and not (tmp_path / "s").exists()
+
+    def test_ensemble_file_of_another_shape_exits_2(self, tmp_path, capsys):
+        cfg = self._file_ensemble_cfg(tmp_path, "")  # 6x5 masks
+        matrix_file = tmp_path / "wide.csv"
+        save_dense_csv(matrix_file, np.full((8, 6), 5.0))
+        text = open(cfg).read().replace(str(tmp_path / "full" / "M.csv"), str(matrix_file))
+        cfg = write_cfg(tmp_path, text, name="wide.cfg")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "ensemble shape (6, 5) != matrix (8, 6)" in err and "Traceback" not in err
+        assert not (tmp_path / "x" / "Mhat.csv").exists()
 
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: lines[:2] + ["2.5"] + lines[3:],
@@ -849,13 +866,18 @@ class TestErrorPaths:
         ("solve", COMPLETION_CFG, f"obs_file = {__file__}\n", "obs_file", "m"),
         ("solve", COMPLETION_CFG.replace("m = 36\n", "p_obs = 0.1\n"),
          f"obs_file = {__file__}\n", "obs_file", "p_obs"),
+        ("solve", COMPLETION_CFG, "p_obs = 0.5\n", "p_obs", "m"),
+        ("synth", RECOVERY_CFG, f"ensemble_file = {__file__}\n", "ensemble_file", "m"),
+        ("synth", RECOVERY_CFG.replace("m = 40\n", "").replace("p = 0.5\n", "p = 0.9\n"),
+         f"ensemble_file = {__file__}\n", "ensemble_file", "p"),
         ("synth", COMPLETION_CFG, "trials = 3\n", "a single experiment", "trials"),
         ("solve", COMPLETION_CFG, "trials = 3\n", "a single experiment", "trials"),
         ("synth", COMPLETION_CFG, "sweep_values = 1,2\n", "a single experiment", "sweep_values"),
         ("solve", COMPLETION_CFG, "sweep_values = 1,2\n", "a single experiment", "sweep_values"),
         *[("solve", base, f"{key} = {__file__ if key.endswith('_file') else 4}\n", source, key)
           for source, base, keys in SOURCE_UNREAD for key in keys]],
-        ids=["obs_file_m", "obs_file_p_obs", "synth_trials", "solve_trials", "synth_values",
+        ids=["obs_file_m", "obs_file_p_obs", "p_obs_m", "synth_ensemble_file_m",
+             "synth_ensemble_file_p", "synth_trials", "solve_trials", "synth_values",
              "solve_values",
              *[f"{source}_{key}" for source, _, keys in SOURCE_UNREAD for key in keys]])
     def test_key_a_single_run_never_reads_exits_2(self, tmp_path, capsys, command, base, line,

@@ -234,17 +234,25 @@ class TestPmlsvt:
         assert err.value.trace.terminated_by == "aborted"
 
 
+    @staticmethod
+    def _counts_above_the_box():
+        """A 4x4 completion whose counts mostly exceed alpha = 20, started
+        on the box's upper face: a gradient step leaves the box there, so a
+        step that is not clamped shows."""
+        fset = FeasibleSet(alpha=20.0, beta=1.0, rank_budget=2)
+        M = seeded_rng(5).uniform(15.0, 30.0, (4, 4))
+        obj = completion_objective(full_observation(M, 6), fset)
+        return fset, obj, np.full((4, 4), fset.alpha)
+
     def test_identity_strategy_single_step_is_projected_gradient(self, monkeypatch):
         # lambda = 0 and t >= L: one iteration reduces to X0 - (1/t) grad
         monkeypatch.setattr(plr.solvers, "project_box", lambda Z, alpha, beta: Z)
-        fset = FeasibleSet(alpha=20.0, beta=1.0, rank_budget=2)
-        M = seeded_rng(5).uniform(5.0, 15.0, (4, 4))
-        obj = completion_objective(full_observation(M, 6), fset)
-        X0 = np.full((4, 4), 10.0)
+        fset, obj, X0 = self._counts_above_the_box()
         t = 2.0 * fset.lipschitz()
         cfg = SolverConfig(max_iter=1, step_recip=t, penalty=0.0, mode="completion")
         X, trace = pmlsvt(obj, fset, X0=X0, config=cfg)
         want = X0 - obj.gradient(X0) / t
+        assert want.max() > fset.alpha  # the clamp would have changed the step
         assert np.allclose(X, want, atol=1e-10)
         assert trace.step_control == [t]
 
@@ -252,14 +260,12 @@ class TestPmlsvt:
         # the shrink pmlsvt takes is the svt that the acceptance suite checks,
         # at whatever t backtracking settled on
         monkeypatch.setattr(plr.solvers, "project_box", lambda Z, alpha, beta: Z)
-        fset = FeasibleSet(alpha=20.0, beta=1.0, rank_budget=2)
-        M = seeded_rng(5).uniform(5.0, 15.0, (4, 4))
-        obj = completion_objective(full_observation(M, 6), fset)
-        X0 = np.full((4, 4), 10.0)
+        fset, obj, X0 = self._counts_above_the_box()
         cfg = SolverConfig(max_iter=1, step_recip=1e-2, penalty=0.5, mode="completion")
         X, trace = pmlsvt(obj, fset, X0=X0, config=cfg)
         t = trace.step_control[0]
         want = svt(X0 - obj.gradient(X0) / t, cfg.penalty / t)
+        assert want.max() > fset.alpha  # the clamp would have changed the step
         assert X.tobytes() == want.tobytes()
         assert t > cfg.step_recip and np.linalg.matrix_rank(X) < 4
 

@@ -63,6 +63,15 @@ class TestGenWeakLq:
         bound = 2.0 * spec.rho * 300.0 * np.arange(1, 9) ** (-2.0)
         assert np.all(sigma <= bound + 1e-9)
 
+    def test_decay_violated_after_rescale_warns(self):
+        # the positive shift and rescale leave a near-constant matrix of total
+        # I, whose top singular value ~ I / sqrt(d1 * d2) = 14.4 exceeds the
+        # bound 2 * rho * I = 10 for this small rho
+        spec = WeakLqSpec(q=0.5, rho=0.05, total_intensity=100.0, dims=(8, 6))
+        with pytest.warns(UserWarning, match=r"sigma_1 = 14\.61 > 10 \(slack 2\.0\)"):
+            M = gen_weak_lq(spec, seed=0)
+        assert M.sum() == pytest.approx(100.0, rel=1e-12)
+
     def test_infeasible_floor_rejected(self):
         spec = WeakLqSpec(q=0.5, rho=0.8, total_intensity=10.0, dims=(5, 5),
                           entry_floor=1.0)
