@@ -11,11 +11,14 @@ experiment per file.  Every command is reproducible byte-for-byte from its
 config and seeds, except the wall-time line of the metrics file.  Exit
 status: 0 on success, 2 on a config or input error, 3 on a solver abort.
 
-Before any work, ``ExperimentConfig.validate`` checks each point config (the
-config itself, or one per sweep value) against the tables of what each mode,
-source, solver and command requires and never reads.  ``obs_file``,
-``p_obs`` and ``ensemble_file`` have rows too: each fixes what another key
-would otherwise set, so that key may not be set beside it.
+Each command checks, computes, then writes.  Before any work, ``main`` runs
+``ExperimentConfig.validate``: each point config (the config itself, or one
+per sweep value) against the tables of what each mode, source, solver and
+command requires and never reads.  ``obs_file``, ``p_obs`` and
+``ensemble_file`` have rows too: each fixes what another key would otherwise
+set, so that key may not be set beside it.  ``--out`` is made at the first
+write, once every result is computed: an exit 2, or a sweep's exit 3, leaves
+no directory, and an aborted solve writes only its partial ``trace.csv``.
 """
 
 from __future__ import annotations
@@ -273,8 +276,7 @@ def _solver_config(ec):
     """The SolverConfig of ``ec``; a value it rejects names its config key."""
     try:
         return SolverConfig(max_iter=ec.max_iter, step_recip=ec.step_recip,
-                            step_scale=ec.step_scale, penalty=ec.penalty, tol=ec.tol,
-                            mode=ec.mode)
+                            step_scale=ec.step_scale, penalty=ec.penalty, tol=ec.tol)
     except ValueError as exc:
         name = str(exc).split()[0]  # each SolverConfig message starts with its field
         raise ConfigError(f"config key {_FIELD_KEYS.get(name, name)!r}: {exc}") from None
@@ -346,12 +348,13 @@ def make_completion_observations(ec, M, mask, seed):
     if ec.obs_file is not None:
         return load_observations_csv(ec.obs_file, (d1, d2))
     m_expected = float(ec.m) if ec.p_obs is None else ec.p_obs * d1 * d2
+    if m_expected > d1 * d2:  # validate rules out m <= 0 and p_obs > 1, so this is m
+        raise ConfigError(f"config key 'm' must be at most the {d1 * d2} cells of the "
+                          f"{d1}x{d2} matrix, got {ec.m!r}")
     if mask is None:  # an intensity: draw Poisson counts of it
         return sample_completion_observations(M, m_expected, seed)
     # Counts are already a Poisson realization: Bernoulli-subsample the cells
     # present in the file and take their values as the observations.
-    if not 0 < m_expected <= d1 * d2:
-        raise ValueError(f"m_expected must lie in (0, {d1 * d2}], got {m_expected}")
     rng = seeded_rng(seed)
     keep = (rng.random(M.shape) < m_expected / (d1 * d2)) & mask
     rows, cols = np.nonzero(keep)
@@ -421,13 +424,9 @@ def run_single_solve(ec, M, mask, seed, ensemble=None):
         fset = feasible_set_for(ec, M, m_value=ensemble.m)
         obj = recovery_objective(ensemble, y.counts, fset)
 
-    config = _solver_config(ec)
-    if ec.solver == "pmlsvt":
-        Mhat, trace = pmlsvt(obj, fset, X0=None, config=config)
-    elif ec.solver == "proximal":
-        Mhat, trace = proximal_gradient(obj, fset, default_init(obj, fset), config)
-    else:
-        Mhat, trace = accelerated_proximal_gradient(obj, fset, default_init(obj, fset), config)
+    solver = {"pmlsvt": pmlsvt, "proximal": proximal_gradient,
+              "accelerated": accelerated_proximal_gradient}[ec.solver]
+    Mhat, trace = solver(obj, fset, default_init(obj, fset), _solver_config(ec))
     return Mhat, trace, fset
 
 
@@ -467,41 +466,44 @@ def metrics_lines(ec, M, mask, Mhat, fset, trace, wall_time):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(ec, out_dir):
-    """Write ground truth and observations: M.csv plus obs.csv, or plus
-    y.csv and ensemble.bin."""
-    ec.validate()
+def _out(out_dir, name):
+    """The path of output file ``name``; ``out_dir`` is made here, so it
+    exists only once a command has something to write."""
     os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
+def cmd_synth(ec, out_dir):
+    """Write ground truth and observations of the validated ``ec``: M.csv
+    plus obs.csv, or plus y.csv and ensemble.bin, once all are built."""
     M, mask = build_ground_truth(ec)
-    save_dense_csv(os.path.join(out_dir, "M.csv"), M)
     if ec.mode == "completion":
         obs = make_completion_observations(ec, M, mask, ec.obs_seed)
-        save_observations_csv(os.path.join(out_dir, "obs.csv"), obs)
-    else:
-        ensemble, y = make_recovery_observations(ec, M, ec.obs_seed)
-        _atomic_write_text(os.path.join(out_dir, "y.csv"),
-                           "\n".join(str(v) for v in y.counts) + "\n")
-        save_ensemble(os.path.join(out_dir, "ensemble.bin"), ensemble)
+        save_dense_csv(_out(out_dir, "M.csv"), M)
+        save_observations_csv(_out(out_dir, "obs.csv"), obs)
+        return 0
+    ensemble, y = make_recovery_observations(ec, M, ec.obs_seed)
+    save_dense_csv(_out(out_dir, "M.csv"), M)
+    _atomic_write_text(_out(out_dir, "y.csv"), "\n".join(str(v) for v in y.counts) + "\n")
+    save_ensemble(_out(out_dir, "ensemble.bin"), ensemble)
     return 0
 
 
 def cmd_solve(ec, out_dir):
-    """Run one solve; write Mhat.csv, trace.csv and a flat metrics file."""
-    ec.validate()
-    os.makedirs(out_dir, exist_ok=True)
+    """Run one solve of the validated ``ec``; then write Mhat.csv, trace.csv
+    and a flat metrics file, or on an abort only the partial trace.csv."""
     M, mask = build_ground_truth(ec)
     start = time.perf_counter()
     try:
         Mhat, trace, fset = run_single_solve(ec, M, mask, ec.obs_seed)
     except SolverAbort as exc:
-        exc.trace.to_csv(os.path.join(out_dir, "trace.csv"))
+        exc.trace.to_csv(_out(out_dir, "trace.csv"))
         print(f"plr solve: aborted: {exc}", file=sys.stderr)
         return 3
-    wall = time.perf_counter() - start
-    save_dense_csv(os.path.join(out_dir, "Mhat.csv"), Mhat)
-    trace.to_csv(os.path.join(out_dir, "trace.csv"))
-    lines = metrics_lines(ec, M, mask, Mhat, fset, trace, wall)
-    _atomic_write_text(os.path.join(out_dir, "metrics.txt"), "\n".join(lines) + "\n")
+    lines = metrics_lines(ec, M, mask, Mhat, fset, trace, time.perf_counter() - start)
+    save_dense_csv(_out(out_dir, "Mhat.csv"), Mhat)
+    trace.to_csv(_out(out_dir, "trace.csv"))
+    _atomic_write_text(_out(out_dir, "metrics.txt"), "\n".join(lines) + "\n")
     return 0
 
 
@@ -531,7 +533,8 @@ def _read_only(*arrays):
 
 
 def cmd_sweep(ec, out_dir):
-    """Run trials at every sweep value; write value,mean,std rows sorted by value.
+    """Run trials at every sweep value of the validated ``ec``; then write
+    value,mean,std rows sorted by value.
 
     The source matrix is read once and a read-only ground truth is built from
     it per distinct rho, before the points run.  Points run trial by trial,
@@ -540,8 +543,6 @@ def cmd_sweep(ec, out_dir):
     points draw their own, and a fixed ensemble_file is read once for the
     sweep.
     """
-    ec.validate(need_sweep=True)
-    os.makedirs(out_dir, exist_ok=True)
     values = sorted(ec.sweep_values)
     configs = _point_configs(ec, values)
     source = ground_truth_source(ec)
@@ -566,7 +567,7 @@ def cmd_sweep(ec, out_dir):
     lines = ["value,mean,std"]
     for value, chunk in zip(values, errs.T):
         lines.append(f"{value!r},{float(chunk.mean())!r},{float(chunk.std(ddof=0))!r}")
-    _atomic_write_text(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+    _atomic_write_text(_out(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
     return 0
 
 
@@ -590,6 +591,7 @@ def main(argv=None):
 
     try:
         ec = ExperimentConfig.from_file(args.config, seed_override=args.seed)
+        ec.validate(need_sweep=args.command == "sweep")
         if args.command == "synth":
             return cmd_synth(ec, args.out)
         if args.command == "solve":

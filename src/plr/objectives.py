@@ -58,8 +58,6 @@ class CompletionObjective:
     def value(self, X):
         """f(X) = sum over observed (i,j) of X_ij - Y_ij * log X_ij."""
         vals = self._observed_values(X)
-        if vals.size == 0:
-            return 0.0
         return float(vals.sum() - (self.obs.counts * np.log(vals)).sum())
 
     def gradient(self, X):

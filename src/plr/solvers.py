@@ -197,10 +197,7 @@ def pmlsvt(obj, fset, X0=None, config=None):
         raise SolverAbort(f"infeasible starting point: {exc}", X, trace) from exc
 
     for _ in range(config.max_iter):
-        try:
-            G = obj.gradient(X)
-        except RateFloorError as exc:
-            raise SolverAbort(f"objective domain error: {exc}", X, trace) from exc
+        G = obj.gradient(X)  # at a point whose value passed the same rate-floor check
         while True:
             C = X - G / t
             U, s, Vt = svd_factors(C)

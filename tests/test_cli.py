@@ -764,7 +764,7 @@ class TestErrorPaths:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert f"{ensemble}: {message}" in err and "Traceback" not in err
-        assert not (tmp_path / "x" / "Mhat.csv").exists()
+        assert not (tmp_path / "x").exists()
 
     def _file_ensemble_cfg(self, tmp_path, lines):
         """recovery_file_cfg with masks read from its 40-mask, p = 0.5
@@ -798,10 +798,11 @@ class TestErrorPaths:
         save_dense_csv(matrix_file, np.full((8, 6), 5.0))
         text = open(cfg).read().replace(str(tmp_path / "full" / "M.csv"), str(matrix_file))
         cfg = write_cfg(tmp_path, text, name="wide.cfg")
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-        err = capsys.readouterr().err
-        assert "ensemble shape (6, 5) != matrix (8, 6)" in err and "Traceback" not in err
-        assert not (tmp_path / "x" / "Mhat.csv").exists()
+        for command in ("synth", "solve"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert "ensemble shape (6, 5) != matrix (8, 6)" in err and "Traceback" not in err
+            assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: lines[:2] + ["2.5"] + lines[3:],
@@ -816,6 +817,7 @@ class TestErrorPaths:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert f"{tmp_path / 'full'}{os.sep}{message}" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "none.cfg"),
@@ -898,7 +900,7 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "plr sweep: aborted at value=30.0, trial=0: backtracking diverged" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "s" / "sweep.csv").exists()
+        assert not (tmp_path / "s").exists()
 
     def test_solve_abort_writes_partial_trace_and_exits_3(self, tmp_path, capsys, monkeypatch):
         def aborting_pmlsvt(obj, fset, X0=None, config=None):
@@ -914,8 +916,7 @@ class TestErrorPaths:
         assert "plr solve: aborted: backtracking diverged" in err
         assert "Traceback" not in err
         assert (out / "trace.csv").read_text() == "iter,objective,t\n1,1.5,2.0\n"
-        assert not (out / "Mhat.csv").exists()
-        assert not (out / "metrics.txt").exists()
+        assert os.listdir(out) == ["trace.csv"]
 
     @pytest.mark.parametrize("source", ["counts", "matrix"])
     def test_completion_m_above_the_cell_count_exits_2(self, tmp_path, capsys, source):
@@ -926,9 +927,29 @@ class TestErrorPaths:
             text = text.replace("source = counts\n", "source = matrix\n").replace(
                 f"counts_file = {DATA}/bike_toy.csv", f"matrix_file = {matrix_file}")
         cfg = write_cfg(tmp_path, text)
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-        assert "m_expected must lie in (0, 192], got 5000.0" in capsys.readouterr().err
-        assert not (tmp_path / "x" / "Mhat.csv").exists()
+        for command in ("synth", "solve"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+            assert ("config key 'm' must be at most the 192 cells of the 24x8 matrix, "
+                    "got 5000.0") in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "solve"])
+    @pytest.mark.parametrize("base,key,text,message", [
+        (MATRIX_CFG, "matrix_file", "", "empty matrix file"),
+        (MATRIX_CFG, "matrix_file", "1,2\n3\n", "line 2: expected 2 columns, got 1"),
+        (IMAGE_CFG, "image_file", "P2\n4\n", "truncated PGM header"),
+        (BIKE_CFG, "counts_file", "hour,day,count\n", "no count rows")],
+        ids=["empty_matrix", "ragged_matrix", "truncated_pgm", "header_only_counts"])
+    def test_unreadable_source_file_exits_2(self, tmp_path, capsys, command, base, key, text,
+                                           message):
+        source = tmp_path / "source.txt"
+        source.write_text(text)
+        cfg = write_cfg(tmp_path, re.sub(rf"^{key} = .*$", f"{key} = {source}", base,
+                                         flags=re.M))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{source}: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_exits_2(self, tmp_path, capsys, threads):
@@ -937,7 +958,7 @@ class TestErrorPaths:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x"),
                      "--threads", threads]) == 2
         assert f"--threads must be a positive integer, got {threads}" in capsys.readouterr().err
-        assert not (tmp_path / "x" / "sweep.csv").exists()
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flag", [["--threads", "0"]], ids=["flag"])
     def test_bad_threads_exit_2_on_a_recovery_sweep(self, tmp_path, capsys, flag):
