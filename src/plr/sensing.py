@@ -3,6 +3,8 @@
 Each mask has entries in {0, 1/m}: an entry is 0 with probability p and 1/m
 with probability 1-p.  Masks are stored as packed bit-sets with the implicit
 scale 1/m, so forward and adjoint applications reduce to masked sums.
+Drawing and unpacking work through the masks ``_BLOCK_ROWS`` rows at a time,
+so their scratch memory is a block, not a whole mask set.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .core import (CompressiveObservations, ShapeMismatchError, _atomic_write, a
                    seeded_rng)
 
 _HEADER = struct.Struct("<QQQdQ")  # d1, d2, m, p, seed
+_BLOCK_ROWS = 64  # masks drawn or unpacked at a time
 
 
 def xi_p_value(p):
@@ -65,24 +68,55 @@ class SensingEnsemble:
         """Unpacked 0/1 float matrix of shape (m, d1*d2), cached."""
         if self._dense is None:
             n = self.d1 * self.d2
-            bits = np.unpackbits(self.packed, axis=1, count=n)
-            self._dense = bits.astype(np.float64)
-            self._dense.flags.writeable = False
+            dense = np.empty((self.m, n))
+            for r0 in range(0, self.m, _BLOCK_ROWS):
+                block = self.packed[r0:r0 + _BLOCK_ROWS]
+                dense[r0:r0 + _BLOCK_ROWS] = np.unpackbits(block, axis=1, count=n)
+            dense.flags.writeable = False
+            self._dense = dense
         return self._dense
 
     def mask_dense(self, i):
         """The i-th mask A_i as a dense d1 x d2 matrix (entries 0 or 1/m)."""
-        row = self.indicator_matrix()[i]
+        row = np.unpackbits(self.packed[i], count=self.d1 * self.d2)
         return (row / self.m).reshape(self.d1, self.d2)
 
 
 def build_sensing_ensemble(d1, d2, m, p, seed):
-    """Draw an ensemble: each entry of each mask is 0 w.p. p, 1/m w.p. 1-p."""
+    """Draw an ensemble: each entry of each mask is 0 w.p. p, 1/m w.p. 1-p.
+
+    Entry j (row-major over all masks) is set iff u_j >= p, where
+    u_j = (k_j + v_j)/256 is uniform on a grid of step 2**-61: k_j is byte j
+    of the seed's raw 64-bit words read little-endian, and v_j, a uniform
+    double, is drawn only when k_j == floor(256 p), after all the bytes and
+    in row-major order.  So the masks do not depend on ``_BLOCK_ROWS``.
+    """
+    n = d1 * d2
+    ensemble = SensingEnsemble(d1=d1, d2=d2, m=m, p=float(p), seed=int(seed),
+                               packed=np.empty((m, (n + 7) // 8), np.uint8))
     rng = seeded_rng(seed)
-    bits = rng.random((m, d1 * d2)) >= p
-    packed = np.packbits(bits, axis=1)
-    packed.flags.writeable = False
-    return SensingEnsemble(d1=d1, d2=d2, m=m, p=float(p), seed=int(seed), packed=packed)
+    k0 = math.floor(256 * ensemble.p)  # an int, so comparisons stay in uint8
+    frac = 256 * ensemble.p - k0  # exact: scaling by 256 is exact
+    spare = np.empty(0, np.uint8)  # bytes of the last word a block left unused
+    ties = []
+    for r0 in range(0, m, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, m - r0)
+        need = rows * n - spare.size
+        words = rng.bit_generator.random_raw(-(-need // 8)).astype("<u8", copy=False)
+        fresh = words.view(np.uint8)
+        k = np.concatenate((spare, fresh[:need])) if spare.size else fresh[:need]
+        k = k.reshape(rows, n)
+        spare = fresh[need:]
+        # with frac == 0 every tie is set, and its v need not be drawn
+        ensemble.packed[r0:r0 + rows] = np.packbits(k > k0 if frac else k >= k0, axis=1)
+        if frac:
+            ties.append(np.flatnonzero(k == k0) + r0 * n)
+    if frac:
+        ties = np.concatenate(ties)
+        row, col = np.divmod(ties[rng.random(ties.size) >= frac], n)
+        np.bitwise_or.at(ensemble.packed, (row, col >> 3), (0x80 >> (col & 7)).astype(np.uint8))
+    ensemble.packed.flags.writeable = False
+    return ensemble
 
 
 def apply_forward(ensemble, X):

@@ -3,11 +3,16 @@
 Each oracle solves its problem by a route unrelated to the production code
 path it checks: subgradient descent for the nuclear proximal map, KKT subset
 enumeration for the l1-ball projection, an exact-penalty subgradient method
-for the intersection projection, and central finite differences for
-gradients.
+for the intersection projection, central finite differences for gradients,
+and an entry-by-entry loop in exact rational arithmetic for the sensing
+mask draw.
 """
 
+from fractions import Fraction
+
 import numpy as np
+
+from plr.core import seeded_rng
 
 
 def g_nuclear(X, Z, tau):
@@ -204,3 +209,24 @@ def finite_difference_gradient(f, X, rel_step=1e-6):
         Xm[idx] -= h
         G[idx] = (f(Xp) - f(Xm)) / (2.0 * h)
     return G
+
+
+def sensing_masks_oracle(d1, d2, m, p, seed):
+    """Packed masks of ``build_sensing_ensemble(d1, d2, m, p, seed)``, one entry
+    at a time: entry j (row-major) is set iff (k_j + v_j)/256 >= p, where k_j is
+    byte j of the seed's raw 64-bit words read little-endian, and v_j is a
+    uniform double drawn, after all the bytes, only for the entries whose
+    outcome it decides (k_j/256 <= p < (k_j + 1)/256)."""
+    n = d1 * d2
+    rng = seeded_rng(seed)
+    stream = b"".join(int(w).to_bytes(8, "little")
+                      for w in rng.bit_generator.random_raw((m * n + 7) // 8))
+    p = Fraction(p)
+    ties = [j for j in range(m * n) if Fraction(stream[j], 256) <= p < Fraction(stream[j] + 1, 256)]
+    tie_v = {j: Fraction(rng.random()) for j in ties}
+    packed = [[0] * ((n + 7) // 8) for _ in range(m)]
+    for j in range(m * n):
+        if (stream[j] + tie_v.get(j, Fraction(0))) / 256 >= p:
+            i, c = divmod(j, n)
+            packed[i][c // 8] |= 0x80 >> (c % 8)
+    return packed

@@ -283,19 +283,31 @@ class TestSynthSolvePipeline:
 
     @pytest.mark.parametrize("solver", ["proximal", "accelerated"])
     def test_fixed_step_solve_matches_the_library(self, tmp_path, solver):
-        cfg = write_cfg(tmp_path, fixed_step_cfg(solver))
+        # observed cells alternate near alpha and beta, so the start lies
+        # outside the rank-1 nuclear ball and each solver moves it its own way
+        i, j = np.indices((8, 6))
+        save_dense_csv(tmp_path / "M.csv", np.where((i + j) % 2 == 0, 29.0, 2.0))
+        cfg = write_cfg(tmp_path, (
+            f"mode = complete\nsource = matrix\nmatrix_file = {tmp_path / 'M.csv'}\n"
+            "alpha = 30\nbeta = 1\nrank_budget = 1\nm = 36\nseed = 5\n"
+            f"solver = {solver}\nmax_iter = 200\n"))
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
         trace = (tmp_path / "r" / "trace.csv").read_text().splitlines()
         assert len(trace) == 201
         assert all(row.split(",")[2] == repr(30.0 / 1.0**2) for row in trace[1:])
-        fset = FeasibleSet(alpha=30.0, beta=1.0, rank_budget=2)
+        fset = FeasibleSet(alpha=30.0, beta=1.0, rank_budget=1)
         obj = completion_objective(load_observations_csv(tmp_path / "s" / "obs.csv", (8, 6)),
                                    fset)
-        run = proximal_gradient if solver == "proximal" else accelerated_proximal_gradient
-        Mhat, _ = run(obj, fset, default_init(obj, fset), SolverConfig(max_iter=200))
-        save_dense_csv(tmp_path / "lib.csv", Mhat)
+        X0 = default_init(obj, fset)
+        assert np.linalg.svd(X0, compute_uv=False).sum() > fset.nuclear_radius(8, 6)
+        runs = {name: run(obj, fset, X0, SolverConfig(max_iter=200))[0]
+                for name, run in (("proximal", proximal_gradient),
+                                  ("accelerated", accelerated_proximal_gradient))}
+        save_dense_csv(tmp_path / "lib.csv", runs[solver])
         assert (tmp_path / "r" / "Mhat.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert np.abs(runs["proximal"] - runs["accelerated"]).max() > 1.0
+        assert np.abs(runs[solver] - X0).max() > 1.0
 
     def test_recovery_config_rebuilds_the_stored_masks(self, tmp_path):
         base = f"y_file = {tmp_path / 'full' / 'y.csv'}\nlambda = 0.01\n"

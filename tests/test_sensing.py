@@ -1,9 +1,13 @@
+import hashlib
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import plr.sensing
+from oracles import sensing_masks_oracle
 from plr.core import ShapeMismatchError, seeded_rng
 from plr.sensing import (SensingEnsemble, apply_adjoint, apply_forward,
                          build_sensing_ensemble, empirical_rip_range, load_ensemble,
@@ -31,9 +35,11 @@ class TestXiP:
 class TestBuild:
     def test_entries_are_zero_or_one_over_m(self):
         ens = build_sensing_ensemble(5, 7, 9, 0.4, seed=11)
-        for i in range(ens.m):
-            vals = np.unique(ens.mask_dense(i))
-            assert set(vals.tolist()) <= {0.0, 1.0 / ens.m}
+        masks = [ens.mask_dense(i) for i in range(ens.m)]
+        assert ens._dense is None  # mask_dense unpacks only its own row
+        for i, mask in enumerate(masks):
+            assert set(np.unique(mask).tolist()) <= {0.0, 1.0 / ens.m}
+            assert np.array_equal(mask, (ens.indicator_matrix()[i] / ens.m).reshape(5, 7))
 
     def test_single_cell_two_point_support(self):
         for seed in range(20):
@@ -41,9 +47,52 @@ class TestBuild:
             assert ens.mask_dense(0)[0, 0] in (0.0, 1.0)
 
     def test_zero_fraction_concentrates(self):
-        ens = build_sensing_ensemble(48, 48, 1000, 0.5, seed=3)
-        frac_zero = 1.0 - ens.indicator_matrix().mean()
-        assert abs(frac_zero - 0.5) < 0.01
+        # 2M entries per p: a set rate off by 1/256 gives |z| > 11 at each p
+        for p in (0.5, 0.25, 0.3, 1 / 3, 0.97):
+            ens = build_sensing_ensemble(40, 50, 1000, p, seed=3)
+            entries = ens.m * ens.d1 * ens.d2
+            set_bits = int(np.unpackbits(ens.packed).sum())
+            z = (set_bits - entries * (1 - p)) / np.sqrt(entries * p * (1 - p))
+            assert abs(z) < 5, (p, z)
+
+    # each of these draws has 1-3 ties (k == floor(256 p)), and at p = 0.3
+    # seed 1 sets one of its three and clears two
+    @pytest.mark.parametrize("p,seed", [(0.3, 1), (0.3, 2), (0.5, 1), (0.5, 2)])
+    def test_matches_entrywise_oracle(self, p, seed):
+        ens = build_sensing_ensemble(6, 7, 10, p, seed)
+        assert np.array_equal(ens.packed, np.array(sensing_masks_oracle(6, 7, 10, p, seed)))
+
+    def test_block_size_is_not_part_of_the_stream(self, monkeypatch):
+        # 35 entries per mask, so one-row blocks split the raw words
+        args = (5, 7, 150, 0.3, 4)
+        want = build_sensing_ensemble(*args)
+        for rows in (1, 1000):
+            monkeypatch.setattr(plr.sensing, "_BLOCK_ROWS", rows)
+            ens = build_sensing_ensemble(*args)
+            assert np.array_equal(ens.packed, want.packed)
+            assert np.array_equal(ens.indicator_matrix(), want.indicator_matrix())
+
+    @pytest.mark.parametrize("p,digest", [(0.5, "662f7a75eee2b38c"), (0.3, "57b382b8833d06d5")])
+    def test_stream_is_pinned(self, p, digest):
+        # a change here changes every recovery output drawn from m, p and a seed
+        ens = build_sensing_ensemble(6, 7, 10, p, seed=1)
+        assert hashlib.sha256(ens.packed.tobytes()).hexdigest()[:16] == digest
+
+    def test_scratch_memory_is_a_block(self):
+        d1, d2, m = 32, 32, 1024
+        block = plr.sensing._BLOCK_ROWS * d1 * d2
+        tracemalloc.start()
+        try:
+            ens = build_sensing_ensemble(d1, d2, m, 0.3, seed=5)
+            draw_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ens.indicator_matrix()
+            unpack_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert draw_peak <= 1.5 * m * d1 * d2
+        assert unpack_peak <= 8 * m * d1 * d2 + block + 16384
 
     def test_deterministic_given_seed(self):
         e1 = build_sensing_ensemble(6, 6, 12, 0.5, seed=21)
