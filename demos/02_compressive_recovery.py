@@ -7,8 +7,13 @@ Poisson-distributed.  Two experiments:
 
   * scale the intensity by rho = 1..9 at m = 1000 and watch the normalized
     error R/I^2 fall as the photon budget grows;
-  * sweep the nuclear penalty over a log grid at rho = 4 to expose the
-    interior optimum.
+  * sweep the nuclear penalty over a log grid at rho = 4 and print, per
+    seed, the estimate's numerical rank (singular values above 1) and the
+    iterations run.  It shows no interior optimum.  Below lambda = 0.01 the
+    estimate keeps 30 to 36 of its 36 singular values.  From 0.01 on it is
+    rank 1, and up to lambda = 1 its error does not move: each iterate is
+    rescaled to the total intensity, which undoes the shrink of any rank-1
+    matrix.  No penalty on the grid gives the truth's rank 10.
 
 Pass ``quick`` as an argument to run a reduced rho grid.
 """
@@ -45,7 +50,8 @@ def recover(M, m, lam, seed=7):
     config = SolverConfig(max_iter=2500, step_recip=1e-5, step_scale=1.1,
                           penalty=lam, mode="recovery")
     Mhat, trace = pmlsvt(obj, fset, config=config)
-    return squared_error(M, Mhat) / total**2, trace.iterations_run
+    rank = int(np.sum(np.linalg.svd(Mhat, compute_uv=False) > 1.0))
+    return squared_error(M, Mhat) / total**2, trace.iterations_run, rank
 
 
 def main():
@@ -62,10 +68,12 @@ def main():
         print(f"  rho = {rho}: R/I^2 = {np.mean(errs):.3e} +- {np.std(errs):.1e}  "
               f"({time.perf_counter() - start:.1f}s)")
 
-    print("\npenalty sweep (rho = 4, m = 1000):")
+    print("\npenalty sweep (rho = 4, m = 1000; numerical rank = singular values above 1,"
+          " per seed):")
     for lam in np.logspace(-4, 2, 7):
-        errs = [recover(4.0 * Mbar, 1000, lam, seed=s)[0] for s in seeds]
-        print(f"  lambda = {lam:8.4g}: R/I^2 = {np.mean(errs):.3e}")
+        errs, iters, ranks = zip(*(recover(4.0 * Mbar, 1000, lam, seed=s) for s in seeds))
+        print(f"  lambda = {lam:8.4g}: R/I^2 = {np.mean(errs):.3e}  "
+              f"rank {'/'.join(map(str, ranks))}  iterations {'/'.join(map(str, iters))}")
 
 
 if __name__ == "__main__":

@@ -358,37 +358,31 @@ def make_completion_observations(ec, M, mask, seed):
     rng = seeded_rng(seed)
     keep = (rng.random(M.shape) < m_expected / (d1 * d2)) & mask
     rows, cols = np.nonzero(keep)
-    return CompletionObservations(rows=rows, cols=cols, dims=(d1, d2),
-                                  counts=np.rint(M[rows, cols]).astype(np.int64))
+    return CompletionObservations(rows=rows, cols=cols, dims=(d1, d2), counts=M[rows, cols])
 
 
-def make_recovery_observations(ec, M, seed):
-    """Build (or load) the sensing ensemble and its Poisson counts."""
-    ensemble = recovery_ensemble(ec, *M.shape, seed)
-    return ensemble, recovery_counts(ec, M, seed, ensemble)
+def make_recovery_observations(ec, M, seed, ensemble=None):
+    """(masks, counts) of ``M``: the masks are ``ensemble``, else those of
+    :func:`recovery_ensemble`; the counts are read from y_file, else drawn
+    with seed ``seed + COUNT_SEED_OFFSET`` (a negative ``M`` raises ValueError)."""
+    if ensemble is None:
+        ensemble = recovery_ensemble(ec, *M.shape, seed)
+    if ensemble.shape != M.shape:
+        raise ConfigError(f"ensemble shape {ensemble.shape} != matrix {M.shape}")
+    if ec.y_file is None:
+        return ensemble, sample_compressive_counts(ensemble, M, seed + COUNT_SEED_OFFSET)
+    y = CompressiveObservations(counts=_load_y_file(ec.y_file))
+    if len(y) != ensemble.m:
+        raise ConfigError(f"{ec.y_file}: {len(y)} counts, but the ensemble has m={ensemble.m}")
+    return ensemble, y
 
 
 def recovery_ensemble(ec, d1, d2, seed):
-    """The sensing masks: read from ensemble_file, which fixes their m and p
-    (so the config sets neither, see validate), else drawn with the config's
-    m and p from ``seed``."""
+    """The sensing masks: read from ensemble_file (which fixes m and p, see
+    validate), else drawn with the config's m and p from ``seed``."""
     if ec.ensemble_file is not None:
         return load_ensemble(ec.ensemble_file)
     return build_sensing_ensemble(d1, d2, int(ec.m), ec.p, seed)
-
-
-def recovery_counts(ec, M, seed, ensemble):
-    """Counts y of ``M`` through ``ensemble``: read from y_file, else drawn."""
-    if (ensemble.d1, ensemble.d2) != M.shape:
-        raise ConfigError(f"ensemble shape {(ensemble.d1, ensemble.d2)} != matrix {M.shape}")
-    if ec.y_file is not None:
-        y = CompressiveObservations(counts=_load_y_file(ec.y_file))
-        if len(y) != ensemble.m:
-            raise ConfigError(
-                f"{ec.y_file}: {len(y)} counts, but the ensemble has m={ensemble.m}")
-    else:
-        y = sample_compressive_counts(ensemble, M, seed + COUNT_SEED_OFFSET)
-    return y
 
 
 def _load_y_file(path):
@@ -408,19 +402,14 @@ def _load_y_file(path):
 # ---------------------------------------------------------------------------
 
 def run_single_solve(ec, M, mask, seed, ensemble=None):
-    """Observe + solve one instance; returns (Mhat, trace, fset).
-
-    A recovery solve draws its sensing masks unless ``ensemble`` is given.
-    """
+    """Observe + solve one instance; returns (Mhat, trace, fset).  A recovery
+    solve observes through ``ensemble`` if given, else through masks of its own."""
     if ec.mode == "completion":
         obs = make_completion_observations(ec, M, mask, seed)
         fset = feasible_set_for(ec, M)
         obj = completion_objective(obs, fset)
     else:
-        if ensemble is None:
-            ensemble, y = make_recovery_observations(ec, M, seed)
-        else:
-            y = recovery_counts(ec, M, seed, ensemble)
+        ensemble, y = make_recovery_observations(ec, M, seed, ensemble)
         fset = feasible_set_for(ec, M, m_value=ensemble.m)
         obj = recovery_objective(ensemble, y.counts, fset)
 
@@ -552,9 +541,7 @@ def cmd_sweep(ec, out_dir):
             truths[pc.rho] = _read_only(*build_ground_truth(ec, pc.rho, source))
     del source
     shape = truths[configs[0].rho][0].shape
-    fixed = None
-    if ec.ensemble_file:  # recovery only, see validate
-        fixed = recovery_ensemble(ec, *shape, ec.obs_seed)
+    fixed = recovery_ensemble(ec, *shape, ec.obs_seed) if ec.ensemble_file else None
     errs = []
     for trial in range(ec.trials):
         ensemble = fixed

@@ -54,6 +54,25 @@ def as_matrix(X, shape=None):
     return X
 
 
+def _as_counts(counts):
+    """``counts`` as a 1-d int64 array.  The first value that is not a whole
+    number in [0, 2**63) raises ValueError naming its index."""
+    values = np.asarray(counts)
+    if values.ndim != 1:
+        raise ShapeMismatchError("counts must be a 1-d vector")
+    if values.dtype.kind in "biu":
+        ok = (values >= 0) & (values <= np.iinfo(np.int64).max)
+    else:
+        values = values.astype(np.float64)
+        ok = (values >= 0) & (values < 2.0**63) & (values == np.floor(values))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        v = values[k].item()
+        raise ValueError(f"counts must be nonnegative, got {v!r} at index {k}" if v < 0 else
+                         f"count {v!r} at index {k} is not a whole number below 2**63")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class FeasibleSet:
     """Constraint-set parameters shared by recovery and completion.
@@ -117,15 +136,12 @@ class CompletionObservations:
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.int64)
         cols = np.asarray(self.cols, dtype=np.int64)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _as_counts(self.counts)
         if not (rows.shape == cols.shape == counts.shape) or rows.ndim != 1:
             raise ShapeMismatchError("rows, cols and counts must be aligned 1-d arrays")
         d1, d2 = self.dims
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= d1 or cols.min() < 0 or cols.max() >= d2:
-                raise ValueError("observation index outside the matrix")
-            if counts.min() < 0:
-                raise ValueError("counts must be nonnegative")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= d1 or cols.max() >= d2):
+            raise ValueError("observation index outside the matrix")
         order = np.lexsort((cols, rows))
         rows, cols, counts = rows[order], cols[order], counts[order]
         flat = rows * d2 + cols
@@ -148,11 +164,7 @@ class CompressiveObservations:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1:
-            raise ShapeMismatchError("counts must be a 1-d vector")
-        if counts.size and counts.min() < 0:
-            raise ValueError("counts must be nonnegative")
+        counts = _as_counts(self.counts)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 

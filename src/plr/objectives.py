@@ -90,6 +90,9 @@ class RecoveryObjective:
         if self.y.shape != (ensemble.m,):
             raise ShapeMismatchError(
                 f"count vector shape {self.y.shape} does not match ensemble size m={ensemble.m}")
+        ok = (self.y >= 0) & (self.y < np.inf)  # real-valued counts are allowed
+        if not ok.all():
+            raise ValueError(f"count {float(self.y[~ok][0])!r} must be finite and nonnegative")
         self.rate_floor = rate_floor
         self._pos = self.y > 0
         self._y_pos = self.y[self._pos]

@@ -20,6 +20,7 @@ from .core import (CompressiveObservations, ShapeMismatchError, _atomic_write, a
 
 _HEADER = struct.Struct("<QQQdQ")  # d1, d2, m, p, seed
 _BLOCK_ROWS = 64  # masks drawn or unpacked at a time
+assert _BLOCK_ROWS % 8 == 0  # so every block but the last draws whole raw words
 
 
 def xi_p_value(p):
@@ -89,7 +90,8 @@ def build_sensing_ensemble(d1, d2, m, p, seed):
     u_j = (k_j + v_j)/256 is uniform on a grid of step 2**-61: k_j is byte j
     of the seed's raw 64-bit words read little-endian, and v_j, a uniform
     double, is drawn only when k_j == floor(256 p), after all the bytes and
-    in row-major order.  So the masks do not depend on ``_BLOCK_ROWS``.
+    in row-major order.  A block of ``_BLOCK_ROWS`` masks (a multiple of 8)
+    takes whole words, so the masks do not depend on the block size.
     """
     n = d1 * d2
     ensemble = SensingEnsemble(d1=d1, d2=d2, m=m, p=float(p), seed=int(seed),
@@ -97,16 +99,11 @@ def build_sensing_ensemble(d1, d2, m, p, seed):
     rng = seeded_rng(seed)
     k0 = math.floor(256 * ensemble.p)  # an int, so comparisons stay in uint8
     frac = 256 * ensemble.p - k0  # exact: scaling by 256 is exact
-    spare = np.empty(0, np.uint8)  # bytes of the last word a block left unused
     ties = []
     for r0 in range(0, m, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, m - r0)
-        need = rows * n - spare.size
-        words = rng.bit_generator.random_raw(-(-need // 8)).astype("<u8", copy=False)
-        fresh = words.view(np.uint8)
-        k = np.concatenate((spare, fresh[:need])) if spare.size else fresh[:need]
-        k = k.reshape(rows, n)
-        spare = fresh[need:]
+        words = rng.bit_generator.random_raw(-(-rows * n // 8)).astype("<u8", copy=False)
+        k = words.view(np.uint8)[:rows * n].reshape(rows, n)
         # with frac == 0 every tie is set, and its v need not be drawn
         ensemble.packed[r0:r0 + rows] = np.packbits(k > k0 if frac else k >= k0, axis=1)
         if frac:
@@ -140,12 +137,12 @@ def apply_adjoint(ensemble, v):
 
 
 def sample_compressive_counts(ensemble, M, seed):
-    """Draw y_i ~ Poisson([AM]_i) independently; rate 0 yields count 0."""
-    rates = apply_forward(ensemble, M)
-    if rates.min() < -1e-12:
-        raise ValueError(f"negative Poisson rate {float(rates.min())!r} from the forward map")
-    rates = np.maximum(rates, 0.0)
-    counts = seeded_rng(seed).poisson(rates)
+    """Draw y_i ~ Poisson([AM]_i) independently for a nonnegative intensity
+    ``M``; rate 0 yields count 0."""
+    M = as_matrix(M, ensemble.shape)
+    if M.min() < 0:
+        raise ValueError("intensity matrix must be nonnegative")
+    counts = seeded_rng(seed).poisson(apply_forward(ensemble, M))
     return CompressiveObservations(counts=counts)
 
 

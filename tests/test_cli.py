@@ -322,6 +322,21 @@ class TestSynthSolvePipeline:
         assert (tmp_path / "rb" / "Mhat.csv").read_bytes() == \
             (tmp_path / "rs" / "Mhat.csv").read_bytes()
 
+    def test_recovery_alpha_below_the_entry_floor_solves(self, tmp_path):
+        # entry_floor/m = 5e-8 is not below alpha, so beta falls back to alpha * 1e-9
+        matrix_file = tmp_path / "M.csv"
+        matrix_file.write_text("5,5,5\n5,5,4\n5,5,5\n")
+        cfg = write_cfg(tmp_path, (
+            f"mode = recover\nsource = matrix\nmatrix_file = {matrix_file}\n"
+            "alpha = 1e-9\nentry_floor = 1e-6\nm = 20\np = 0.5\nmax_iter = 50\n"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        ec = ExperimentConfig.from_file(cfg)
+        ec.validate()
+        M, mask = plr.cli.build_ground_truth(ec)
+        Mhat, _, fset = plr.cli.run_single_solve(ec, M, mask, ec.obs_seed)
+        assert (fset.alpha, fset.beta, fset.total_intensity) == (1e-9, 1e-9 * 1e-9, 44.0)
+        assert np.array_equal(load_dense_csv(tmp_path / "r" / "Mhat.csv"), Mhat)
+
     def test_image_source_completion(self, tmp_path, data_dir):
         cfg = write_cfg(tmp_path, (
             "mode = complete\nsource = image\n"
@@ -961,6 +976,18 @@ class TestErrorPaths:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert f"{source}: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "solve"])
+    def test_negative_recovery_intensity_exits_2(self, tmp_path, capsys, command):
+        matrix_file = tmp_path / "M.csv"
+        matrix_file.write_text("5,5,5\n5,5,-4\n5,5,5\n")
+        cfg = write_cfg(tmp_path, (
+            f"mode = recover\nsource = matrix\nmatrix_file = {matrix_file}\nm = 20\np = 0.5\n"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"plr {command}: error: intensity matrix must be nonnegative" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,33 @@ class TestObservations:
             CompressiveObservations(counts=[[1, 2]])
         with pytest.raises(ValueError):
             CompressiveObservations(counts=[-1])
+
+    @pytest.mark.parametrize("values,message", [
+        ([1, 2.5], "count 2.5 at index 1 is not a whole number below 2**63"),
+        ([0, np.nan], "count nan at index 1 is not a whole number below 2**63"),
+        ([np.inf], "count inf at index 0 is not a whole number below 2**63"),
+        ([3, 1e30], "count 1e+30 at index 1 is not a whole number below 2**63"),
+        (np.array([2**63], dtype=np.uint64),
+         "count 9223372036854775808 at index 0 is not a whole number below 2**63"),
+        ([4, -2], "counts must be nonnegative, got -2 at index 1"),
+        ([-np.inf], "counts must be nonnegative, got -inf at index 0")],
+        ids=["fraction", "nan", "inf", "huge", "uint64", "negative", "minus_inf"])
+    def test_counts_must_be_whole_numbers_below_2_63(self, values, message):
+        # warnings as errors: a plain int64 cast warns on nan, inf and 1e30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                CompressiveObservations(counts=values)
+            assert str(err.value) == message
+            with pytest.raises(ValueError) as err:
+                CompletionObservations(rows=range(len(values)), cols=[0] * len(values),
+                                       counts=values, dims=(len(values), 1))
+            assert str(err.value) == message
+
+    def test_whole_float_counts_are_kept(self):
+        assert CompressiveObservations(counts=[1.0, 2**62]).counts.tolist() == [1, 2**62]
+        obs = CompletionObservations(rows=[0], cols=[0], counts=[2.0], dims=(1, 1))
+        assert obs.counts.dtype == np.int64 and obs.counts.tolist() == [2]
 
 
 class TestFileFormats:

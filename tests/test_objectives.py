@@ -135,6 +135,16 @@ class TestNllRecovery:
         with pytest.raises(ShapeMismatchError, match=r"\(4,\) does not match ensemble size m=3"):
             RecoveryObjective(ens, np.ones(ens.m + 1), 1e-9)
 
+    @pytest.mark.parametrize("bad,shown", [(-7.0, "-7.0"), (np.nan, "nan"), (np.inf, "inf")])
+    def test_negative_or_non_finite_count_raises_at_construction(self, bad, shown):
+        # if accepted, each gives a zero count's value, or -inf and a NaN gradient
+        ens = build_sensing_ensemble(4, 5, 6, 0.5, seed=0)
+        y = np.array([3.0, 0.0, 1.5, 2.0, 0.0, 4.0])
+        RecoveryObjective(ens, y, 1e-9)  # real-valued counts >= 0 are allowed
+        y[2] = bad
+        with pytest.raises(ValueError, match=rf"count {shown} must be finite and nonnegative"):
+            RecoveryObjective(ens, y, 1e-9)
+
     def test_convexity_probe(self):
         rng = seeded_rng(30)
         ens = build_sensing_ensemble(4, 4, 8, 0.5, seed=31)

@@ -63,10 +63,11 @@ class TestBuild:
         assert np.array_equal(ens.packed, np.array(sensing_masks_oracle(6, 7, 10, p, seed)))
 
     def test_block_size_is_not_part_of_the_stream(self, monkeypatch):
-        # 35 entries per mask, so one-row blocks split the raw words
+        # 35 entries per mask: the last 8-row block (150 = 18 * 8 + 6) has
+        # 6 * 35 bytes, not a whole number of words
         args = (5, 7, 150, 0.3, 4)
         want = build_sensing_ensemble(*args)
-        for rows in (1, 1000):
+        for rows in (8, 1000):
             monkeypatch.setattr(plr.sensing, "_BLOCK_ROWS", rows)
             ens = build_sensing_ensemble(*args)
             assert np.array_equal(ens.packed, want.packed)
@@ -189,6 +190,13 @@ class TestSampling:
         ens = build_sensing_ensemble(4, 4, 6, 0.5, seed=1)
         y = sample_compressive_counts(ens, np.zeros((4, 4)), seed=2)
         assert np.all(y.counts == 0)
+
+    def test_negative_intensity_raises(self):
+        ens = build_sensing_ensemble(3, 3, 20, 0.5, seed=1)
+        M = np.full((3, 3), 5.0)
+        M[1, 2] = -4.0
+        with pytest.raises(ValueError, match="intensity matrix must be nonnegative"):
+            sample_compressive_counts(ens, M, seed=2)
 
     def test_reproducible(self):
         ens = build_sensing_ensemble(4, 4, 6, 0.5, seed=1)
