@@ -364,7 +364,10 @@ def make_completion_observations(ec, M, mask, seed):
 def make_recovery_observations(ec, M, seed, ensemble=None):
     """(masks, counts) of ``M``: the masks are ``ensemble``, else those of
     :func:`recovery_ensemble`; the counts are read from y_file, else drawn
-    with seed ``seed + COUNT_SEED_OFFSET`` (a negative ``M`` raises ValueError)."""
+    with seed ``seed + COUNT_SEED_OFFSET``.  A negative ``M`` raises
+    ValueError on either path."""
+    if M.min() < 0:
+        raise ValueError("intensity matrix must be nonnegative")
     if ensemble is None:
         ensemble = recovery_ensemble(ec, *M.shape, seed)
     if ensemble.shape != M.shape:
@@ -528,9 +531,9 @@ def cmd_sweep(ec, out_dir):
     The source matrix is read once and a read-only ground truth is built from
     it per distinct rho, before the points run.  Points run trial by trial,
     in order on this thread.  A recovery trial's points share one mask set,
-    drawn before they start and dropped before the next trial's; an m sweep's
-    points draw their own, and a fixed ensemble_file is read once for the
-    sweep.
+    drawn and unpacked before they start and dropped before the next trial's;
+    an m sweep's points draw their own, and a fixed ensemble_file is read once
+    for the sweep.
     """
     values = sorted(ec.sweep_values)
     configs = _point_configs(ec, values)
@@ -547,6 +550,8 @@ def cmd_sweep(ec, out_dir):
         ensemble = fixed
         if ensemble is None and ec.mode == "recovery" and ec.sweep_axis != "m":
             ensemble = recovery_ensemble(ec, *shape, ec.obs_seed + trial)
+        if ensemble is not None:
+            ensemble.indicator_matrix()  # every point applies it: unpack before the first
         errs.append([_sweep_point(pc, value, trial, truths, ensemble)
                      for pc, value in zip(configs, values)])
         del ensemble  # before the next trial's masks are drawn

@@ -3,8 +3,8 @@
 Each mask has entries in {0, 1/m}: an entry is 0 with probability p and 1/m
 with probability 1-p.  Masks are stored as packed bit-sets with the implicit
 scale 1/m, so forward and adjoint applications reduce to masked sums.
-Drawing and unpacking work through the masks ``_BLOCK_ROWS`` rows at a time,
-so their scratch memory is a block, not a whole mask set.
+Drawing, unpacking and count sampling work through the masks ``_BLOCK_ROWS``
+rows at a time, so their scratch memory is a block, not a whole mask set.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .core import (CompressiveObservations, ShapeMismatchError, _atomic_write, a
                    seeded_rng)
 
 _HEADER = struct.Struct("<QQQdQ")  # d1, d2, m, p, seed
-_BLOCK_ROWS = 64  # masks drawn or unpacked at a time
+_BLOCK_ROWS = 64  # masks drawn, unpacked or sampled at a time
 assert _BLOCK_ROWS % 8 == 0  # so every block but the last draws whole raw words
 
 
@@ -68,14 +68,34 @@ class SensingEnsemble:
     def indicator_matrix(self):
         """Unpacked 0/1 float matrix of shape (m, d1*d2), cached."""
         if self._dense is None:
-            n = self.d1 * self.d2
-            dense = np.empty((self.m, n))
+            dense = np.empty((self.m, self.d1 * self.d2))
             for r0 in range(0, self.m, _BLOCK_ROWS):
-                block = self.packed[r0:r0 + _BLOCK_ROWS]
-                dense[r0:r0 + _BLOCK_ROWS] = np.unpackbits(block, axis=1, count=n)
+                self._unpack_rows(r0, dense[r0:r0 + _BLOCK_ROWS])
             dense.flags.writeable = False
             self._dense = dense
         return self._dense
+
+    def _unpack_rows(self, r0, out):
+        """Unpack masks r0, r0+1, ... as 0/1 floats into the rows of ``out``."""
+        out[...] = np.unpackbits(self.packed[r0:r0 + len(out)], axis=1, count=out.shape[1])
+
+    def _row_blocks(self):
+        """Yield (r0, the 0/1 float rows of the ``_BLOCK_ROWS`` masks from r0) in order.
+
+        A block is a view of the cached indicator if there is one, else one
+        reused buffer unpacked from ``packed``, so a block is valid only
+        until the next is yielded.  Views and buffer have the same shape and
+        strides, so a product with a block does not depend on the cache.
+        """
+        if self._dense is not None:
+            for r0 in range(0, self.m, _BLOCK_ROWS):
+                yield r0, self._dense[r0:r0 + _BLOCK_ROWS]
+            return
+        buffer = np.empty((min(_BLOCK_ROWS, self.m), self.d1 * self.d2))
+        for r0 in range(0, self.m, _BLOCK_ROWS):
+            block = buffer[:self.m - r0]
+            self._unpack_rows(r0, block)
+            yield r0, block
 
     def mask_dense(self, i):
         """The i-th mask A_i as a dense d1 x d2 matrix (entries 0 or 1/m)."""
@@ -138,11 +158,16 @@ def apply_adjoint(ensemble, v):
 
 def sample_compressive_counts(ensemble, M, seed):
     """Draw y_i ~ Poisson([AM]_i) independently for a nonnegative intensity
-    ``M``; rate 0 yields count 0."""
+    ``M``; rate 0 yields count 0.  The rates take one product per block of
+    ``_BLOCK_ROWS`` masks, so the draw never builds the dense indicator."""
     M = as_matrix(M, ensemble.shape)
     if M.min() < 0:
         raise ValueError("intensity matrix must be nonnegative")
-    counts = seeded_rng(seed).poisson(apply_forward(ensemble, M))
+    x = M.ravel()
+    rates = np.empty(ensemble.m)
+    for r0, block in ensemble._row_blocks():
+        np.dot(block, x, out=rates[r0:r0 + len(block)])
+    counts = seeded_rng(seed).poisson(rates / ensemble.m)
     return CompressiveObservations(counts=counts)
 
 

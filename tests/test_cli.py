@@ -592,24 +592,33 @@ class TestSweepSharing:
         assert max(alive) == 0
 
     def test_trial_points_share_one_read_only_ensemble_unpacked_once(self, tmp_path, monkeypatch):
-        seen, unpacks = [], []
+        seen, unpacks, events = [], [], []
         original_solve = plr.cli.run_single_solve
         original_unpack = SensingEnsemble.indicator_matrix
+        original_draw = plr.cli.sample_compressive_counts
 
         def counting_unpack(ensemble):
             if ensemble._dense is None:  # later calls return the cached matrix
                 unpacks.append((ensemble, threading.current_thread()))
+                events.append(("unpack", ensemble))
             return original_unpack(ensemble)
 
+        def recording_draw(ensemble, M, seed):
+            events.append(("draw", ensemble))
+            return original_draw(ensemble, M, seed)
+
         def checking_solve(ec, M, mask, seed, ensemble=None, **kwargs):
+            seen.append((seed, ensemble))
+            result = original_solve(ec, M, mask, seed, ensemble=ensemble, **kwargs)
+            # checked after the solve, so the check is not what unpacks the masks
             for array in (M, ensemble.packed, ensemble.indicator_matrix()):
                 with pytest.raises(ValueError, match="read-only"):
                     array.flat[0] = 0
-            seen.append((seed, ensemble))
-            return original_solve(ec, M, mask, seed, ensemble=ensemble, **kwargs)
+            return result
 
         monkeypatch.setattr(SensingEnsemble, "indicator_matrix", counting_unpack)
         monkeypatch.setattr(plr.cli, "run_single_solve", checking_solve)
+        monkeypatch.setattr(plr.cli, "sample_compressive_counts", recording_draw)
         cfg = write_cfg(tmp_path, RECOVERY_CFG.replace("max_iter = 150", "max_iter = 10") +
                         "sweep_axis = rho\nsweep_values = 1,2,3\ntrials = 2\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
@@ -623,6 +632,9 @@ class TestSweepSharing:
         assert len(unpacks) == 2
         for (unpacked, thread), points in zip(unpacks, by_trial.values()):
             assert unpacked is points[0] and thread is threading.main_thread()
+            # the sweep unpacks the masks before the trial's first count draw
+            mine = [kind for kind, ensemble in events if ensemble is unpacked]
+            assert mine == ["unpack"] + ["draw"] * 3
 
 
 class TestErrorPaths:
@@ -978,12 +990,18 @@ class TestErrorPaths:
         assert f"{source}: {message}" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("command", ["synth", "solve"])
-    def test_negative_recovery_intensity_exits_2(self, tmp_path, capsys, command):
+    # with a y_file the counts are read, not drawn, yet the truth is checked
+    @pytest.mark.parametrize("command,y_file", [("synth", False), ("solve", False),
+                                                ("solve", True)],
+                             ids=["synth", "solve", "solve_y_file"])
+    def test_negative_recovery_intensity_exits_2(self, tmp_path, capsys, command, y_file):
         matrix_file = tmp_path / "M.csv"
         matrix_file.write_text("5,5,5\n5,5,-4\n5,5,5\n")
-        cfg = write_cfg(tmp_path, (
-            f"mode = recover\nsource = matrix\nmatrix_file = {matrix_file}\nm = 20\np = 0.5\n"))
+        text = f"mode = recover\nsource = matrix\nmatrix_file = {matrix_file}\nm = 20\np = 0.5\n"
+        if y_file:
+            (tmp_path / "y.csv").write_text("3\n" * 20)
+            text += f"y_file = {tmp_path / 'y.csv'}\n"
+        cfg = write_cfg(tmp_path, text)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert f"plr {command}: error: intensity matrix must be nonnegative" in err

@@ -205,6 +205,32 @@ class TestSampling:
         b = sample_compressive_counts(ens, M, seed=33).counts
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    @pytest.mark.parametrize("d1,d2,m", [(5, 7, 130), (13, 11, 257), (64, 36, 500)])
+    def test_counts_do_not_depend_on_the_cached_indicator(self, d1, d2, m, p):
+        # d1*d2 = 35 and 143 are not multiples of 8; no m is a multiple of 64
+        ens = build_sensing_ensemble(d1, d2, m, p, seed=9)
+        M = seeded_rng(10).uniform(0, 3e4, (d1, d2))
+        before = sample_compressive_counts(ens, M, seed=11).counts
+        ens.indicator_matrix()
+        after = sample_compressive_counts(ens, M, seed=11).counts
+        assert np.array_equal(before, after)
+
+    def test_draw_holds_one_block_not_the_indicator(self):
+        d1, d2, m = 64, 64, 2048
+        ens = build_sensing_ensemble(d1, d2, m, 0.5, seed=3)
+        M = np.full((d1, d2), 2.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample_compressive_counts(ens, M, seed=4)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert ens._dense is None
+        # the indicator alone would be 8 bytes per entry; a 64-mask block is 0.25
+        assert peak < m * d1 * d2
+
     def test_poisson_mean_identity(self):
         # repeated draws at one fixed measurement index
         ens = build_sensing_ensemble(4, 4, 3, 0.5, seed=4)
