@@ -14,17 +14,18 @@ status: 0 on success, 2 on a config or input error, 3 on a solver abort.
 Each command checks, computes, then writes.  Before any work, ``main`` runs
 ``ExperimentConfig.validate``: each point config (the config itself, or one
 per sweep value) against the tables of what each mode, source, solver and
-command requires and never reads.  ``obs_file``, ``p_obs`` and
-``ensemble_file`` have rows too: each fixes what another key would otherwise
-set, so that key may not be set beside it.  ``--out`` is made at the first
-write, once every result is computed: an exit 2, or a sweep's exit 3, leaves
-no directory, and an aborted solve writes only its partial ``trace.csv``.
+command requires and never reads.  ``obs_file`` and ``ensemble_file`` have
+rows too: each fixes what another key would otherwise set, so that key may
+not be set beside it.  ``--out`` is made at the first write, once every
+result is computed: an exit 2, or a sweep's exit 3, leaves no directory, and
+an aborted solve writes only its partial ``trace.csv``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -64,7 +65,7 @@ _SINGLE = "a single experiment"  # the owner of the rules of synth and solve
 # owner -> the ExperimentConfig fields it requires ("a or b": one of them)
 _REQUIRES = {"synthetic": ("d1", "d2", "rank", "alpha", "beta"), "matrix": ("matrix_file",),
              "image": ("image_file", "patch_h", "patch_w"), "counts": ("counts_file",),
-             "completion": ("alpha", "beta", "m or p_obs or obs_file"),
+             "completion": ("alpha", "beta", "p_obs or obs_file"),
              "recovery": ("m or ensemble_file",)}
 # owner -> the ExperimentConfig fields it never reads
 _FIXED_STEP_UNREAD = ("penalty", "step_recip", "step_scale")
@@ -76,10 +77,11 @@ _UNREAD_KEYS = {"synthetic": ("matrix_file", "image_file", "patch_h", "patch_w",
                 "counts": ("d1", "d2", "rank", "matrix_file", "image_file", "patch_h", "patch_w",
                            "trunc_rank"),
                 "recovery": ("p_obs", "obs_file"),
-                "completion": ("p", "total_intensity", "entry_floor", "y_file", "ensemble_file"),
+                "completion": ("m", "p", "total_intensity", "entry_floor", "y_file",
+                               "ensemble_file"),
                 "pmlsvt": ("tol",),
                 "proximal": _FIXED_STEP_UNREAD, "accelerated": _FIXED_STEP_UNREAD,
-                "obs_file": ("m", "p_obs"), "p_obs": ("m",), "ensemble_file": ("m", "p"),
+                "obs_file": ("p_obs",), "ensemble_file": ("m", "p"),
                 _SINGLE: ("sweep_axis", "sweep_values", "trials")}
 
 
@@ -103,10 +105,18 @@ def parse_config(path):
     return cfg
 
 
+def _finite(raw):
+    """A config float: what ``float`` reads, except nan and +-inf."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return value
+
+
 # One parser per declared field type (annotations are strings here, see the
 # __future__ import); a list is comma-separated floats.
-_PARSERS = {"int": int, "float": float, "str": str,
-            "list": lambda raw: [float(v) for v in raw.split(",") if v.strip()]}
+_PARSERS = {"int": int, "float": _finite, "str": str,
+            "list": lambda raw: [_finite(v) for v in raw.split(",") if v.strip()]}
 # Config keys spelt differently from their ExperimentConfig field.
 _FIELD_KEYS = {"penalty": "lambda"}
 
@@ -217,18 +227,17 @@ class ExperimentConfig:
             raise ConfigError(f"solver = {self.solver} supports completion only; "
                               "use solver = pmlsvt for recovery")
         owners = [self.source, self.mode, self.solver]
-        owners += [key for key in ("obs_file", "p_obs", "ensemble_file")
-                   if getattr(self, key) is not None]
+        owners += [key for key in ("obs_file", "ensemble_file") if getattr(self, key) is not None]
         if single:
             owners.append(_SINGLE)
         for owner in owners:
-            for need in _REQUIRES.get(owner, ()):
-                if all(getattr(self, name) is None for name in need.split(" or ")):
-                    raise ConfigError(f"{owner} requires {need}")
             for name in _UNREAD_KEYS.get(owner, ()):
                 if _is_set(self, name):
                     key = _FIELD_KEYS.get(name, name)
                     raise ConfigError(f"{owner} never reads config key {key!r}")
+            for need in _REQUIRES.get(owner, ()):
+                if all(getattr(self, name) is None for name in need.split(" or ")):
+                    raise ConfigError(f"{owner} requires {need}")
         for keys, ok, need in _RANGES:
             for key in keys:
                 value = getattr(self, key)
@@ -237,8 +246,7 @@ class ExperimentConfig:
         if self.alpha is not None and self.beta is not None and self.beta >= self.alpha:
             raise ConfigError(f"config key 'beta' must lie below alpha = {self.alpha!r}, "
                               f"got {self.beta!r}")
-        # recovery m counts masks; completion's m is an expected count
-        if self.mode == "recovery" and self.m is not None and not float(self.m).is_integer():
+        if self.m is not None and not float(self.m).is_integer():
             raise ConfigError(f"recovery m must be a whole number, got {self.m!r}")
         if self.mode == "completion" and self.source == "counts" and self.rho != 1.0:
             # the file's counts are the observations: rint(rho * counts) would
@@ -347,10 +355,7 @@ def make_completion_observations(ec, M, mask, seed):
     d1, d2 = M.shape
     if ec.obs_file is not None:
         return load_observations_csv(ec.obs_file, (d1, d2))
-    m_expected = float(ec.m) if ec.p_obs is None else ec.p_obs * d1 * d2
-    if m_expected > d1 * d2:  # validate rules out m <= 0 and p_obs > 1, so this is m
-        raise ConfigError(f"config key 'm' must be at most the {d1 * d2} cells of the "
-                          f"{d1}x{d2} matrix, got {ec.m!r}")
+    m_expected = ec.p_obs * d1 * d2
     if mask is None:  # an intensity: draw Poisson counts of it
         return sample_completion_observations(M, m_expected, seed)
     # Counts are already a Poisson realization: Bernoulli-subsample the cells

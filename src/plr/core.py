@@ -80,15 +80,15 @@ class FeasibleSet:
     Parameters
     ----------
     alpha : float
-        Entry-wise upper bound (> 0).
+        Entry-wise upper bound (> 0, finite).
     beta : float
         Entry-wise lower bound (> 0, < alpha).
     rank_budget : int
         Rank surrogate r >= 1 entering the nuclear-norm radius.
     total_intensity : float
-        Total intensity I > 0 used by the recovery constraint set.
+        Total intensity I > 0, finite, used by the recovery constraint set.
     entry_floor : float
-        Entry-wise floor c > 0 of the recovery candidate set.
+        Entry-wise floor c > 0, finite, of the recovery candidate set.
     """
 
     alpha: float
@@ -98,18 +98,20 @@ class FeasibleSet:
     entry_floor: float = 1e-6
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        # each test is false for nan, so a nan fails it as +-inf does
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not self.beta < self.alpha:
             raise ValueError(f"need beta < alpha, got beta={self.beta}, alpha={self.alpha}")
         if self.rank_budget < 1:
             raise ValueError(f"rank_budget must be >= 1, got {self.rank_budget}")
-        if not self.total_intensity > 0:
-            raise ValueError(f"total_intensity must be positive, got {self.total_intensity}")
-        if not self.entry_floor > 0:
-            raise ValueError(f"entry_floor must be positive, got {self.entry_floor}")
+        if not 0 < self.total_intensity < math.inf:
+            raise ValueError(f"total_intensity must be positive and finite, "
+                             f"got {self.total_intensity}")
+        if not 0 < self.entry_floor < math.inf:
+            raise ValueError(f"entry_floor must be positive and finite, got {self.entry_floor}")
 
     def nuclear_radius(self, d1, d2):
         """Nuclear-norm radius alpha * sqrt(r * d1 * d2)."""

@@ -58,14 +58,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.step_recip <= 0:
-            raise ValueError(f"step_recip must be positive, got {self.step_recip}")
-        if self.step_scale <= 1:
-            raise ValueError(f"step_scale must exceed 1, got {self.step_scale}")
-        if self.penalty is not None and self.penalty < 0:
-            raise ValueError(f"penalty must be nonnegative, got {self.penalty}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be nonnegative, got {self.tol}")
+        # each test is false for nan, so a nan fails it as +-inf does
+        if not 0 < self.step_recip < math.inf:
+            raise ValueError(f"step_recip must be positive and finite, got {self.step_recip}")
+        if not 1 < self.step_scale < math.inf:
+            raise ValueError(f"step_scale must exceed 1 and be finite, got {self.step_scale}")
+        if self.penalty is not None and not 0 <= self.penalty < math.inf:
+            raise ValueError(f"penalty must be nonnegative and finite, got {self.penalty}")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be nonnegative and finite, got {self.tol}")
         if self.mode not in (None, "completion", "recovery"):
             raise ValueError(f"unknown mode {self.mode!r}")
 

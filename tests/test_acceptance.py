@@ -277,7 +277,7 @@ def test_criterion_09_pipeline_reproducibility(tmp_path):
     start = time.perf_counter()
     cfg_text = (
         "mode = complete\nsource = synthetic\n"
-        "d1 = 10\nd2 = 8\nrank = 2\nalpha = 50\nbeta = 1\nm = 60\nseed = 12\n"
+        "d1 = 10\nd2 = 8\nrank = 2\nalpha = 50\nbeta = 1\np_obs = 0.75\nseed = 12\n"
         "solver = pmlsvt\nmax_iter = 300\nstep_recip = 1e-3\nlambda = 0.05\n")
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(cfg_text)

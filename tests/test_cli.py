@@ -30,7 +30,7 @@ d2 = 6
 rank = 2
 alpha = 30
 beta = 1
-m = 36
+p_obs = 0.75
 seed = 5
 solver = pmlsvt
 max_iter = 200
@@ -81,7 +81,7 @@ source = matrix
 matrix_file = {__file__}
 alpha = 30
 beta = 1
-m = 36
+p_obs = 0.5
 """
 
 IMAGE_CFG = f"""\
@@ -92,7 +92,7 @@ patch_h = 4
 patch_w = 4
 alpha = 30
 beta = 1
-m = 36
+p_obs = 0.5
 """
 
 # (source, a config of it, the keys that source never reads)
@@ -174,7 +174,7 @@ class TestExperimentConfig:
     def test_referenced_files_must_exist(self, tmp_path):
         cfg = write_cfg(tmp_path, (
             "mode = complete\nsource = matrix\nmatrix_file = nope.csv\n"
-            "alpha = 2\nbeta = 1\nm = 4\n"))
+            "alpha = 2\nbeta = 1\np_obs = 0.5\n"))
         with pytest.raises(ConfigError, match="does not exist"):
             ExperimentConfig.from_file(cfg).validate()
 
@@ -216,9 +216,9 @@ class TestExperimentConfig:
         choices = {plr.cli._ALIASES.get(c, c) for cs in plr.cli._CHOICES.values() for c in cs}
         owners = set(plr.cli._REQUIRES) | set(plr.cli._UNREAD_KEYS)
         # every owner is a chosen mode, source or solver, a key that fixes
-        # another (obs_file, p_obs, ensemble_file) or synth/solve, and every
-        # choice has a row: none falls through the table lookups unread
-        assert owners == choices | {"obs_file", "p_obs", "ensemble_file", plr.cli._SINGLE}
+        # another (obs_file, ensemble_file) or synth/solve, and every choice
+        # has a row: none falls through the table lookups unread
+        assert owners == choices | {"obs_file", "ensemble_file", plr.cli._SINGLE}
         assert set(plr.cli._ALIASES.values()) <= set(plr.cli._CHOICES["mode"])
 
     def test_readme_key_table_lists_every_config_key(self):
@@ -249,6 +249,18 @@ class TestExperimentConfig:
                           for key in plr.cli._UNREAD_KEYS.get(owner, ())})
                  for owner in {*plr.cli._REQUIRES, *plr.cli._UNREAD_KEYS}}
         assert listed == rules
+
+    def test_readme_config_examples_validate(self, tmp_path):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        # (info string, body) of each fenced block; a config block's first
+        # line is a key = value pair
+        blocks = re.findall(r"^```(\w*)\n(.*?)^```$", readme, flags=re.M | re.S)
+        configs = {body.split()[0]: body for info, body in blocks
+                   if not info and " = " in body.splitlines()[0]}
+        assert sorted(configs) == ["mode", "sweep_axis"]  # the example and its sweep
+        ExperimentConfig.from_file(write_cfg(tmp_path, configs["mode"])).validate()
+        sweep = write_cfg(tmp_path, configs["mode"] + configs["sweep_axis"], name="sweep.cfg")
+        ExperimentConfig.from_file(sweep).validate(need_sweep=True)
 
 
 class TestSynthSolvePipeline:
@@ -289,7 +301,7 @@ class TestSynthSolvePipeline:
         save_dense_csv(tmp_path / "M.csv", np.where((i + j) % 2 == 0, 29.0, 2.0))
         cfg = write_cfg(tmp_path, (
             f"mode = complete\nsource = matrix\nmatrix_file = {tmp_path / 'M.csv'}\n"
-            "alpha = 30\nbeta = 1\nrank_budget = 1\nm = 36\nseed = 5\n"
+            "alpha = 30\nbeta = 1\nrank_budget = 1\np_obs = 0.75\nseed = 5\n"
             f"solver = {solver}\nmax_iter = 200\n"))
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
@@ -349,7 +361,7 @@ class TestSynthSolvePipeline:
         assert Mhat.shape == (16, 16)
 
     def test_full_observation_synth_has_all_rows(self, tmp_path):
-        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("m = 36\n", "p_obs = 1.0\n"))
+        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("p_obs = 0.75\n", "p_obs = 1.0\n"))
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
         rows = (tmp_path / "full" / "obs.csv").read_text().splitlines()
         assert len(rows) == 1 + 8 * 6  # header + every entry
@@ -373,7 +385,7 @@ class TestSynthSolvePipeline:
 
 class TestSweep:
     def test_sweep_csv_sorted_and_thread_invariant(self, tmp_path):
-        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("m = 36\n", "") + (
+        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("p_obs = 0.75\n", "") + (
             "sweep_axis = p_obs\nsweep_values = 0.9,0.6\ntrials = 2\n"))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s1"),
                      "--threads", "1"]) == 0
@@ -417,9 +429,9 @@ class TestFixedCountSweep:
          "trials = 4\n", "may sweep only lambda, with trials = 1"),
         (RECOVERY_CFG, f"y_file = {__file__}\nsweep_axis = rho\nsweep_values = 1,2\n"
          "trials = 1\n", "may sweep only lambda, with trials = 1"),
-        (COMPLETION_CFG.replace("m = 36\n", ""), f"obs_file = {__file__}\nsweep_axis = rho\n"
+        (COMPLETION_CFG.replace("p_obs = 0.75\n", ""), f"obs_file = {__file__}\nsweep_axis = rho\n"
          "sweep_values = 1,2\ntrials = 1\n", "may sweep only lambda, with trials = 1"),
-        (COMPLETION_CFG.replace("m = 36\n", ""), f"obs_file = {__file__}\nsweep_axis = m\n"
+        (COMPLETION_CFG.replace("p_obs = 0.75\n", ""), f"obs_file = {__file__}\nsweep_axis = m\n"
          "sweep_values = 10,20\ntrials = 1\n", "may sweep only lambda, with trials = 1"),
         (RECOVERY_CFG.replace("m = 40\n", ""), f"ensemble_file = {__file__}\nsweep_axis = m\n"
          "sweep_values = 30,40\ntrials = 2\n", "ensemble_file never reads config key 'm'"),
@@ -438,8 +450,7 @@ class TestFixedCountSweep:
 
 COMPLETION_SWEEPS = {
     # axis: (fixed key it replaces, sweep values)
-    "m": ("m", "20,40"),
-    "p_obs": ("m", "0.5,0.9"),
+    "p_obs": ("p_obs", "0.5,0.9"),
     "lambda": ("lambda", "0.01,0.1"),
     "rho": ("rho", "1,2"),
 }
@@ -660,14 +671,20 @@ class TestErrorPaths:
             capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("key,value", [("d1", "2.5"), ("sweep_values", "1,x"),
-                                           ("lambda", "big")])
+    # every float key and sweep value must be finite, as well as a number
+    @pytest.mark.parametrize("key,value", [
+        ("d1", "2.5"), ("sweep_values", "1,x"), ("lambda", "big"),
+        ("sweep_values", "1,nan"), ("sweep_values", "1,inf"), ("sweep_values", "-inf,1"),
+        *[(plr.cli._FIELD_KEYS.get(name, name), token)
+          for name, t in typing.get_type_hints(ExperimentConfig).items() if t is float
+          for token in ("nan", "inf", "-inf")]])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, key, value):
         text = re.sub(rf"^{key} = .*\n", "", COMPLETION_CFG, flags=re.M)
         cfg = write_cfg(tmp_path, text + f"{key} = {value}\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
-        assert f"config key '{key}'" in err and "Traceback" not in err
+        assert f"config key '{key}': " in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_recovery_rejects_p_obs_sweep(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, RECOVERY_CFG + (
@@ -695,16 +712,16 @@ class TestErrorPaths:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command,base,lines,message", [
-        ("solve", COMPLETION_CFG.replace("m = 36\n", ""), "p_obs = 1.5\n",
+        ("solve", COMPLETION_CFG.replace("p_obs = 0.75\n", ""), "p_obs = 1.5\n",
          "config key 'p_obs' must lie in (0, 1], got 1.5"),
-        ("solve", COMPLETION_CFG, "m = 0\n", "config key 'm' must be positive, got 0.0"),
+        ("solve", COMPLETION_CFG, "m = 0\n", "completion never reads config key 'm'"),
         ("solve", RECOVERY_CFG, "m = 0\n", "config key 'm' must be positive, got 0.0"),
         ("solve", COMPLETION_CFG, "max_iter = 0\n",
          "config key 'max_iter': max_iter must be >= 1, got 0"),
         ("solve", COMPLETION_CFG, "step_scale = 0.5\n",
-         "config key 'step_scale': step_scale must exceed 1, got 0.5"),
+         "config key 'step_scale': step_scale must exceed 1 and be finite, got 0.5"),
         ("solve", COMPLETION_CFG, "step_recip = -1\n",
-         "config key 'step_recip': step_recip must be positive, got -1.0"),
+         "config key 'step_recip': step_recip must be positive and finite, got -1.0"),
         ("synth", RECOVERY_CFG, "p = 1.5\n", "config key 'p' must lie in (0, 1), got 1.5"),
         ("solve", COMPLETION_CFG, "rho = -1\n", "config key 'rho' must be positive, got -1.0"),
         ("solve", COMPLETION_CFG, "rank_budget = 0\n",
@@ -714,8 +731,8 @@ class TestErrorPaths:
         ("solve", COMPLETION_CFG, "seed = -1\n", "config key 'seed' must be >= 0, got -1"),
         ("solve", RECOVERY_CFG.replace("m = 40\n", ""), "", "recovery requires m or ensemble_file"),
         ("sweep", COMPLETION_CFG, "sweep_axis = lambda\nsweep_values = 0.1,-1\ntrials = 1\n",
-         "config key 'lambda': penalty must be nonnegative, got -1.0"),
-        ("sweep", COMPLETION_CFG.replace("m = 36\n", ""),
+         "config key 'lambda': penalty must be nonnegative and finite, got -1.0"),
+        ("sweep", COMPLETION_CFG.replace("p_obs = 0.75\n", ""),
          "sweep_axis = p_obs\nsweep_values = 0.5,1.5\ntrials = 1\n",
          "config key 'p_obs' must lie in (0, 1], got 1.5"),
         ("sweep", RECOVERY_CFG.replace("m = 40\n", ""),
@@ -727,9 +744,8 @@ class TestErrorPaths:
         ("sweep", BIKE_CFG, "sweep_axis = rho\nsweep_values = 1,2\ntrials = 1\n",
          "config key 'rho' must be 1 for completion from a counts file, whose counts are "
          "the observations; got 2.0"),
-        ("sweep", COMPLETION_CFG.replace("m = 36\n", "p_obs = 0.9\n"),
-         "sweep_axis = m\nsweep_values = 20,40\ntrials = 2\n",
-         "p_obs never reads config key 'm'"),
+        ("sweep", COMPLETION_CFG, "sweep_axis = m\nsweep_values = 20,40\ntrials = 2\n",
+         "completion never reads config key 'm'"),
         ("solve", COMPLETION_CFG, "lambda =\n", "line 15: empty key or value"),
         ("sweep", COMPLETION_CFG, "sweep_axis = trials\nsweep_values = 1,2\ntrials = 1\n",
          "sweep_axis must be one of ('rho', 'm', 'lambda', 'p_obs')"),
@@ -904,10 +920,10 @@ class TestErrorPaths:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command,base,line,owner,key", [
-        ("solve", COMPLETION_CFG, f"obs_file = {__file__}\n", "obs_file", "m"),
-        ("solve", COMPLETION_CFG.replace("m = 36\n", "p_obs = 0.1\n"),
-         f"obs_file = {__file__}\n", "obs_file", "p_obs"),
-        ("solve", COMPLETION_CFG, "p_obs = 0.5\n", "p_obs", "m"),
+        ("solve", COMPLETION_CFG.replace("p_obs = 0.75\n", "m = 36\n"),
+         f"obs_file = {__file__}\n", "completion", "m"),
+        ("solve", COMPLETION_CFG, f"obs_file = {__file__}\n", "obs_file", "p_obs"),
+        ("solve", COMPLETION_CFG, "m = 36\n", "completion", "m"),
         ("synth", RECOVERY_CFG, f"ensemble_file = {__file__}\n", "ensemble_file", "m"),
         ("synth", RECOVERY_CFG.replace("m = 40\n", "").replace("p = 0.5\n", "p = 0.9\n"),
          f"ensemble_file = {__file__}\n", "ensemble_file", "p"),
@@ -957,20 +973,27 @@ class TestErrorPaths:
         assert (out / "trace.csv").read_text() == "iter,objective,t\n1,1.5,2.0\n"
         assert os.listdir(out) == ["trace.csv"]
 
-    @pytest.mark.parametrize("source", ["counts", "matrix"])
-    def test_completion_m_above_the_cell_count_exits_2(self, tmp_path, capsys, source):
+    # p_obs alone sizes a completion sample, so m exits 2 before any data is
+    # read, even where it exceeds the 192 cells of the 24x8 matrix
+    @pytest.mark.parametrize("source,reader", [("counts", "load_count_csv"),
+                                               ("matrix", "load_dense_csv")],
+                             ids=["counts", "matrix"])
+    def test_completion_m_exits_2_before_the_source_is_read(self, tmp_path, capsys, monkeypatch,
+                                                            source, reader):
         text = BIKE_CFG.replace("p_obs = 0.5\n", "m = 5000\n")
         if source == "matrix":
             matrix_file = tmp_path / "bike.csv"
             save_dense_csv(matrix_file, np.full((24, 8), 5.0))
             text = text.replace("source = counts\n", "source = matrix\n").replace(
                 f"counts_file = {DATA}/bike_toy.csv", f"matrix_file = {matrix_file}")
-        cfg = write_cfg(tmp_path, text)
-        for command in ("synth", "solve"):
+        reads = counting(monkeypatch, reader)
+        for command, lines in (("synth", ""), ("solve", ""), ("sweep", (
+                "sweep_axis = lambda\nsweep_values = 1,10\ntrials = 1\n"))):
+            cfg = write_cfg(tmp_path, text + lines)
             assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-            assert ("config key 'm' must be at most the 192 cells of the 24x8 matrix, "
-                    "got 5000.0") in capsys.readouterr().err
+            assert "completion never reads config key 'm'" in capsys.readouterr().err
             assert not (tmp_path / "x").exists()
+        assert reads == []
 
     @pytest.mark.parametrize("command", ["synth", "solve"])
     @pytest.mark.parametrize("base,key,text,message", [
@@ -1010,7 +1033,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_exits_2(self, tmp_path, capsys, threads):
-        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("m = 36\n", "") + (
+        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("p_obs = 0.75\n", "") + (
             "sweep_axis = p_obs\nsweep_values = 0.8\ntrials = 1\n"))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x"),
                      "--threads", threads]) == 2
@@ -1027,7 +1050,7 @@ class TestErrorPaths:
 
     def test_sweep_ignores_the_environment_for_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PLR_THREADS", "abc")
-        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("m = 36\n", "") + (
+        cfg = write_cfg(tmp_path, COMPLETION_CFG.replace("p_obs = 0.75\n", "") + (
             "sweep_axis = p_obs\nsweep_values = 0.8\ntrials = 1\n"))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "env")]) == 0
 

@@ -34,6 +34,8 @@ class TestFeasibleSet:
         dict(alpha=1.0, beta=0.5, rank_budget=0),
         dict(alpha=1.0, beta=0.5, total_intensity=0.0),
         dict(alpha=1.0, beta=0.5, entry_floor=0.0),
+        *[{"alpha": 1.0, "beta": 0.5, name: value}
+          for name in ("alpha", "total_intensity", "entry_floor") for value in (np.nan, np.inf)],
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):

@@ -28,6 +28,8 @@ class TestSolverConfig:
         dict(penalty=-1.0),
         dict(tol=-1e-3),
         dict(mode="both"),
+        *[{name: value} for name in ("step_recip", "step_scale", "penalty", "tol")
+          for value in (np.nan, np.inf, -np.inf)],
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
